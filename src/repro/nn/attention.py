@@ -51,7 +51,7 @@ class FrameAttention(Module):
                 f"FrameAttention expects (B, st, V, D, A), got {x.shape}"
             )
         b, st = x.shape[0], x.shape[1]
-        pooled = x.mean(axis=(2, 3, 4)) + _max_over(x, (2, 3, 4))  # (B, st)
+        pooled = x.mean(axis=(2, 3, 4)) + x.max(axis=(2, 3, 4))  # (B, st)
         seq = pooled.reshape(b, 1, 1, st)
         weights = self.conv2(self.conv1(seq).relu()).sigmoid()
         weights = weights.reshape(b, st, 1, 1, 1)
@@ -82,7 +82,7 @@ class VelocityChannelAttention(Module):
             )
         n, c = x.shape[0], x.shape[1]
         gap = x.mean(axis=(2, 3))  # (N, C)
-        gmp = _max_over(x, (2, 3)).reshape(n, c)
+        gmp = x.max(axis=(2, 3))
         features = concat([gap, gmp], axis=1)
         weights = self.fc(features).sigmoid().reshape(n, c, 1, 1)
         return x * weights
@@ -110,13 +110,9 @@ class SpatialAttention(Module):
             )
         mean_map = x.mean(axis=1, keepdims=True)
         max_map = x.max(axis=1, keepdims=True)
-        weights = self.conv(concat([mean_map, max_map], axis=1)).sigmoid()
+        maps = concat([mean_map, max_map], axis=1)
+        weights = F.shifted_conv2d(
+            maps, self.conv.weight, self.conv.bias
+        ).sigmoid()
         return x * weights
 
-
-def _max_over(x: Tensor, axes) -> Tensor:
-    """Max over several axes keeping none (collapses them)."""
-    out = x
-    for axis in sorted(axes, reverse=True):
-        out = out.max(axis=axis)
-    return out

@@ -8,10 +8,13 @@ the classic serving-side optimisations:
 * **Conv+BN folding** -- an eval-mode ``BatchNorm2d`` following a
   ``Conv2d`` / ``ConvTranspose2d`` collapses into the conv's weights and
   bias (``W' = W * gamma/sqrt(var+eps)``, ``b' = (b-mean)*scale+beta``);
+  transposed convs then store the folded kernel in sub-pixel form;
 * **ReLU/sigmoid fusion** -- activations run in place on the GEMM output
   instead of allocating a fresh array per op;
 * **pre-flattened weights** -- conv kernels are stored as contiguous
   ``(O, C*kh*kw)`` GEMM operands and linear/LSTM weights pre-transposed;
+  the conv ops run the same raw kernels as eager autograd
+  (:mod:`repro.nn.functional`), with arena buffers;
 * **static memory planning** -- a probe execution records every scratch
   request, a liveness pass computes each buffer's ``[first, last]`` op
   interval, and greedy interval-graph coloring packs the buffers into a
@@ -69,7 +72,7 @@ from repro.nn.attention import (
     SpatialAttention,
     VelocityChannelAttention,
 )
-from repro.nn.functional import _im2col
+from repro.nn import functional as F
 from repro.nn.layers import (
     BatchNorm2d,
     Conv2d,
@@ -90,6 +93,10 @@ PRECISIONS = ("float32", "float16", "int8")
 """Execution modes accepted by :meth:`CompiledModel.run`."""
 
 
+def _relu_inplace(x: np.ndarray) -> np.ndarray:
+    return np.maximum(x, 0.0, out=x)
+
+
 def _sigmoid_inplace(x: np.ndarray) -> np.ndarray:
     """``1 / (1 + exp(-x))`` computed in place (eager's exact formula)."""
     np.negative(x, out=x)
@@ -106,7 +113,7 @@ class BufferArena:
     changes, so a serving loop with a stable batch shape reuses every
     intermediate. ``zero=True`` buffers are zero-filled once at
     allocation; ops relying on it only ever write the same positions
-    (padding interiors, upsample lattices), so the zeros persist.
+    (padding interiors), so the zeros persist.
     """
 
     def __init__(self) -> None:
@@ -322,56 +329,23 @@ class PlanOp:
         """Hook to null module refs / rebuild derived callables."""
 
 
-def _conv_gemm(
-    x: np.ndarray,
-    w_flat: np.ndarray,
-    bias_col: np.ndarray,
-    kh: int,
-    kw: int,
-    stride: int,
-    padding: int,
-    arena,
-    key: Tuple,
-    relu: bool = False,
-    sigmoid: bool = False,
-    f16: bool = False,
-) -> np.ndarray:
-    """Shared conv kernel: pad -> im2col -> GEMM -> epilogue -> NCHW.
+def _epilogue(ctx: ExecContext, key: Tuple, relu: bool) -> F.Epilogue:
+    """In-place epilogue of the plan's conv ops on the shared kernels.
 
-    Every intermediate lives in the arena under ``key``-derived slots;
-    the returned ``(N, O, out_h, out_w)`` array is an arena buffer too
-    (valid until this op runs again in the same arena). ``f16=True``
-    rounds the post-activation GEMM output through the float16 grid.
+    Applies the fused ReLU, then (``float16`` mode) rounds the output
+    through the float16 grid via an arena temp under ``key``.
     """
-    n, c, h, w = x.shape
-    if padding:
-        ph, pw = h + 2 * padding, w + 2 * padding
-        padded = arena.get(key + ("pad",), (n, c, ph, pw), x.dtype,
-                           zero=True)
-        padded[:, :, padding:padding + h, padding:padding + w] = x
-        x, h, w = padded, ph, pw
-    out_h = (h - kh) // stride + 1
-    out_w = (w - kw) // stride + 1
-    o = w_flat.shape[0]
-    m = n * out_h * out_w
-    dtype = np.result_type(x.dtype, w_flat.dtype)
-    cols = arena.get(key + ("cols",), (c * kh * kw, m), x.dtype)
-    _im2col(x, kh, kw, stride, out=cols)
-    out_flat = arena.get(key + ("gemm",), (o, m), dtype)
-    np.matmul(w_flat, cols, out=out_flat)
-    if bias_col is not None:
-        out_flat += bias_col
-    if relu:
-        np.maximum(out_flat, 0.0, out=out_flat)
-    if sigmoid:
-        _sigmoid_inplace(out_flat)
-    if f16:
-        _round_f16_inplace(out_flat, arena, key)
-    out = arena.get(key + ("out",), (n, o, out_h, out_w), dtype)
-    np.copyto(
-        out, out_flat.reshape(o, n, out_h, out_w).transpose(1, 0, 2, 3)
-    )
-    return out
+    f16 = ctx.precision == "float16"
+    if not (relu or f16):
+        return None
+
+    def run(out: np.ndarray) -> None:
+        if relu:
+            _relu_inplace(out)
+        if f16:
+            _round_f16_inplace(out, ctx.arena, key)
+
+    return run
 
 
 def _fold_conv(
@@ -445,32 +419,61 @@ class ConvOp(PlanOp):
         key = (self.op_id,)
         if ctx.precision == "int8":
             x = _fake_quant_input(x, self.src, ctx, key)
-        regs[self.dst] = _conv_gemm(
+        regs[self.dst], _ = F.conv2d_raw(
             x, self._weights(ctx.precision), self.bias_col, self.kh,
             self.kw, self.stride, self.padding, ctx.arena, key,
-            relu=self.relu, f16=ctx.precision == "float16",
+            _epilogue(ctx, key, self.relu),
         )
 
 
-class UpsampleZerosOp(PlanOp):
-    """Zero-stuffing upsample (the expand half of ConvTranspose2d)."""
+class ConvTransposeOp(ConvOp):
+    """ConvTranspose2d as one sub-pixel GEMM (folded BN, fused ReLU).
 
-    name = "upsample_zeros"
-    export_attrs = ("stride",)
+    ``w_flat`` is the folded kernel in sub-pixel form
+    (:func:`~repro.nn.functional.subpixel_weight`) and ``bias_col`` the
+    folded bias tiled once per output phase; quantized modes treat each
+    (phase, channel) row as one output channel.
+    """
 
-    def __init__(self, op_id: int, src: int, dst: int, stride: int) -> None:
-        super().__init__(op_id, src, dst)
-        self.stride = stride
+    name = "conv_transpose2d"
+    export_attrs = ("kernel", "stride", "relu")
+
+    def __init__(
+        self,
+        op_id: int,
+        src: int,
+        dst: int,
+        deconv: ConvTranspose2d,
+        bn: Optional[BatchNorm2d] = None,
+        relu: bool = False,
+    ) -> None:
+        PlanOp.__init__(self, op_id, src, dst)
+        self.conv = deconv.conv
+        self.bn = bn
+        self.relu = relu
+        self.kernel = deconv.conv.weight.data.shape[2]
+        self.stride = deconv.stride
+        self.refold()
+
+    def refold(self) -> None:
+        if self._detached:
+            return
+        w_flat, bias_col = _fold_conv(self.conv, self.bn)
+        self.w_flat = F.subpixel_weight(
+            w_flat.reshape(self.conv.weight.data.shape), self.stride
+        )
+        self.bias_col = np.tile(bias_col, (self.stride ** 2, 1))
+        self._modes = {}
 
     def run(self, regs: List, ctx: ExecContext) -> None:
         x = regs[self.src]
-        n, c, h, w = x.shape
-        s = self.stride
-        out = ctx.arena.get(
-            (self.op_id, "out"), (n, c, h * s, w * s), x.dtype, zero=True
+        key = (self.op_id,)
+        if ctx.precision == "int8":
+            x = _fake_quant_input(x, self.src, ctx, key)
+        regs[self.dst], _ = F.conv_transpose2d_raw(
+            x, self._weights(ctx.precision), self.bias_col, self.kernel,
+            self.stride, ctx.arena, key, _epilogue(ctx, key, self.relu),
         )
-        out[:, :, ::s, ::s] = x
-        regs[self.dst] = out
 
 
 class BatchNormOp(PlanOp):
@@ -720,13 +723,13 @@ class FrameAttentionOp(PlanOp):
         b, st = x.shape[:2]
         pooled = x.mean(axis=(2, 3, 4)) + x.max(axis=(2, 3, 4))  # (B, st)
         seq = pooled.reshape(b, 1, 1, st)
-        hidden = _conv_gemm(
+        hidden, _ = F.conv2d_raw(
             seq, self.w1, self.b1, 3, 3, 1, 1, ctx.arena,
-            (self.op_id, "c1"), relu=True,
+            (self.op_id, "c1"), _relu_inplace,
         )
-        weights = _conv_gemm(
+        weights, _ = F.conv2d_raw(
             hidden, self.w2, self.b2, 3, 3, 1, 1, ctx.arena,
-            (self.op_id, "c2"), sigmoid=True,
+            (self.op_id, "c2"), _sigmoid_inplace,
         )
         out = ctx.arena.get((self.op_id, "out"), x.shape, x.dtype)
         np.multiply(x, weights.reshape(b, st, 1, 1, 1), out=out)
@@ -780,12 +783,13 @@ class VelocityChannelAttentionOp(PlanOp):
 class SpatialAttentionOp(PlanOp):
     """Eq. 6-7: range-angle weights from channel mean/max maps.
 
-    Always runs float32 (see :class:`FrameAttentionOp`).
+    The conv is the eager shifted-tap kernel
+    (:func:`~repro.nn.functional.shifted_conv2d_raw`) with the sigmoid
+    as its epilogue. Always runs float32 (see :class:`FrameAttentionOp`).
     """
 
     name = "spatial_attention"
-    export_attrs = ("kernel", "padding")
-    export_arrays = ("w_flat", "bias_col")
+    export_arrays = ("weight", "bias")
 
     def __init__(
         self, op_id: int, src: int, dst: int, module: SpatialAttention
@@ -797,10 +801,9 @@ class SpatialAttentionOp(PlanOp):
     def refold(self) -> None:
         if self._detached:
             return
-        self.w_flat, self.bias_col = _fold_conv(self.module.conv, None)
-        k = self.module.conv.weight.data.shape[2]
-        self.kernel = k
-        self.padding = self.module.conv.padding
+        conv = self.module.conv
+        self.weight = np.array(conv.weight.data)
+        self.bias = np.array(conv.bias.data)
 
     def _finish_restore(self, meta: Dict[str, Any]) -> None:
         self.module = None
@@ -811,9 +814,9 @@ class SpatialAttentionOp(PlanOp):
         maps = ctx.arena.get((self.op_id, "maps"), (n, 2, d, a), x.dtype)
         np.mean(x, axis=1, out=maps[:, 0])
         np.max(x, axis=1, out=maps[:, 1])
-        weights = _conv_gemm(
-            maps, self.w_flat, self.bias_col, self.kernel, self.kernel,
-            1, self.padding, ctx.arena, (self.op_id, "conv"), sigmoid=True,
+        weights, _ = F.shifted_conv2d_raw(
+            maps, self.weight, self.bias, ctx.arena, (self.op_id, "conv"),
+            _sigmoid_inplace,
         )
         out = ctx.arena.get(
             (self.op_id, "out"), x.shape,
@@ -914,7 +917,7 @@ OP_TYPES: Dict[str, type] = {
     cls.name: cls
     for cls in (
         ConvOp,
-        UpsampleZerosOp,
+        ConvTransposeOp,
         BatchNormOp,
         ActivationOp,
         AddReluOp,
@@ -1154,15 +1157,14 @@ class PlanBuilder:
 
     # -- emit helpers ---------------------------------------------------
     def conv(
-        self, reg: int, conv: Conv2d, bn: Optional[BatchNorm2d] = None,
+        self, reg: int, conv, bn: Optional[BatchNorm2d] = None,
         relu: bool = False,
     ) -> int:
-        return self._emit(lambda i, d: ConvOp(i, reg, d, conv, bn, relu))
-
-    def upsample_zeros(self, reg: int, stride: int) -> int:
-        if stride == 1:
-            return reg
-        return self._emit(lambda i, d: UpsampleZerosOp(i, reg, d, stride))
+        """A ``Conv2d`` or ``ConvTranspose2d`` with optional BN + ReLU."""
+        op_cls = (
+            ConvTransposeOp if isinstance(conv, ConvTranspose2d) else ConvOp
+        )
+        return self._emit(lambda i, d: op_cls(i, reg, d, conv, bn, relu))
 
     def batch_norm(
         self, reg: int, bn: BatchNorm2d, relu: bool = False
@@ -1200,12 +1202,8 @@ class PlanBuilder:
             return hook(self, reg)
         if isinstance(module, Sequential):
             return self.sequential(reg, module)
-        if isinstance(module, Conv2d):
+        if isinstance(module, (Conv2d, ConvTranspose2d)):
             return self.conv(reg, module)
-        if isinstance(module, ConvTranspose2d):
-            return self.conv(
-                self.upsample_zeros(reg, module.stride), module.conv
-            )
         if isinstance(module, BatchNorm2d):
             return self.batch_norm(reg, module)
         if isinstance(module, Linear):
@@ -1250,12 +1248,7 @@ class PlanBuilder:
                 relu = j < len(layers) and isinstance(layers[j], ReLU)
                 if relu:
                     j += 1
-                if isinstance(layer, ConvTranspose2d):
-                    reg = self.upsample_zeros(reg, layer.stride)
-                    conv = layer.conv
-                else:
-                    conv = layer
-                reg = self.conv(reg, conv, bn=bn, relu=relu)
+                reg = self.conv(reg, layer, bn=bn, relu=relu)
                 i = j
             elif isinstance(layer, Linear):
                 relu = i + 1 < len(layers) and isinstance(

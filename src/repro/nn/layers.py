@@ -205,9 +205,13 @@ class Conv2d(Module):
 
 
 class ConvTranspose2d(Module):
-    """Stride-2 transposed convolution as zero-upsampling + convolution.
+    """Transposed convolution (sub-pixel kernel, see
+    :func:`repro.nn.functional.conv_transpose2d`).
 
-    Doubles the spatial size; used by the hourglass upsampling path.
+    Multiplies the spatial size by ``stride``; used by the hourglass
+    upsampling path. The parameters live in ``conv`` (a ``Conv2d`` of
+    the same kernel), so state dicts keep the ``conv.weight`` /
+    ``conv.bias`` keys.
     """
 
     def __init__(
@@ -232,7 +236,9 @@ class ConvTranspose2d(Module):
         )
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.conv(F.upsample_zeros(x, self.stride))
+        return F.conv_transpose2d(
+            x, self.conv.weight, self.conv.bias, stride=self.stride
+        )
 
 
 class BatchNorm2d(Module):

@@ -43,7 +43,7 @@ from repro.nn.layers import Module
 from repro.obs import metrics as obs_metrics
 
 PLAN_FORMAT = "mmhand-forward-plan"
-PLAN_LAYOUT_VERSION = 1
+PLAN_LAYOUT_VERSION = 2
 
 
 def save_state(module: Module, path: Union[str, os.PathLike]) -> None:

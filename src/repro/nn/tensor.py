@@ -415,17 +415,19 @@ class Tensor:
             count = int(np.prod([self.data.shape[a] for a in axis]))
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
-    def max(self, axis: int, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
+    def max(self, axis, keepdims: bool = False) -> "Tensor":
+        """Max over ``axis`` (an int or a tuple of ints); the gradient is
+        shared equally among tied maxima."""
         expanded = self.data.max(axis=axis, keepdims=True)
-        mask = self.data == expanded
-        counts = mask.sum(axis=axis, keepdims=True)
+        out_data = expanded if keepdims else np.squeeze(expanded, axis)
 
         def backward(grad: np.ndarray) -> None:
             if not self.requires_grad:
                 return
+            mask = self.data == expanded
+            counts = mask.sum(axis=axis, keepdims=True)
             g = grad if keepdims else np.expand_dims(grad, axis)
-            self._accumulate(mask * g / counts)
+            self._accumulate(mask * (g / counts))
 
         return Tensor._make(out_data, (self,), backward)
 

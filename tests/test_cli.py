@@ -172,7 +172,10 @@ def test_bench_smoke(tmp_path, capsys):
     """The bench subcommand runs the smoke workload and writes JSON."""
     json_path = tmp_path / "bench.json"
     assert cli.main(
-        ["bench", "--smoke", "--json", str(json_path)]
+        [
+            "bench", "--smoke", "--json", str(json_path),
+            "--model-json", str(tmp_path / "bench_model.json"),
+        ]
     ) == 0
     out = capsys.readouterr().out
     assert "cube build" in out
@@ -204,6 +207,7 @@ def test_trace_wrapper_runs_bench(tmp_path, capsys):
         [
             "trace", "bench", "--smoke",
             "--json", str(json_path),
+            "--model-json", str(tmp_path / "bench_model.json"),
             "--trace-out", str(trace_path),
         ]
     ) == 0
@@ -239,7 +243,10 @@ def test_bench_provenance(tmp_path, capsys):
 
     json_path = tmp_path / "bench.json"
     assert cli.main(
-        ["bench", "--smoke", "--json", str(json_path)]
+        [
+            "bench", "--smoke", "--json", str(json_path),
+            "--model-json", str(tmp_path / "bench_model.json"),
+        ]
     ) == 0
     summary = json.loads(json_path.read_text())
     provenance = summary["provenance"]
@@ -258,6 +265,7 @@ def test_profile_wrapper_runs_command(tmp_path, capsys):
             "profile", "--hz", "250", "--out", str(out_path),
             "bench", "--smoke", "--model-only",
             "--json", str(json_path),
+            "--model-json", str(tmp_path / "bench_model.json"),
         ]
     ) == 0
     out = capsys.readouterr().out

@@ -15,6 +15,38 @@ def leaf(shape, seed=0):
     return Tensor(rng.normal(size=shape), requires_grad=True)
 
 
+def _grads_match_numeric(forward, params, atol=1e-6):
+    """Autograd gradients of ``sum(forward()**2)`` vs central differences."""
+
+    def loss():
+        for p in params:
+            p.grad = None
+        return float((forward() ** 2).sum().data)
+
+    (forward() ** 2).sum().backward()
+    grads = [p.grad.copy() for p in params]
+    for p, g in zip(params, grads):
+        ng = numeric_gradient(loss, p.data)
+        assert np.allclose(g, ng, atol=atol, rtol=1e-6), p.shape
+
+
+def _zero_stuffed_deconv(x, w, b, stride):
+    """The old transposed-conv formula: conv over zero-stuffed input."""
+    n, c, h, wd = x.shape
+    up = np.zeros((n, c, h * stride, wd * stride))
+    up[:, :, ::stride, ::stride] = x
+    k = w.shape[2]
+    pad = np.pad(up, ((0, 0), (0, 0), (k // 2, k // 2), (k // 2, k // 2)))
+    out = np.zeros((n, w.shape[0], h * stride, wd * stride))
+    for i in range(k):
+        for j in range(k):
+            window = pad[:, :, i:i + h * stride, j:j + wd * stride]
+            out += np.einsum("oc,nchw->nohw", w[:, :, i, j], window)
+    if b is not None:
+        out += b.reshape(1, -1, 1, 1)
+    return out
+
+
 def test_conv2d_matches_scipy():
     from scipy.signal import correlate2d
 
@@ -53,6 +85,22 @@ def test_conv2d_gradients_numeric():
         )
 
 
+@pytest.mark.parametrize(
+    "stride,padding,hw",
+    [(2, 1, (4, 6)), (2, 1, (5, 5)), (3, 1, (7, 5)), (2, 0, (5, 6))],
+)
+def test_strided_conv2d_gradients_numeric(stride, padding, hw):
+    # padding == k//2 takes the sub-pixel input gradient, padding 0 the
+    # im2col scatter-add; both must match finite differences.
+    x = leaf((2, 2) + hw)
+    w = leaf((3, 2, 3, 3), seed=1)
+    b = leaf((3,), seed=2)
+    _grads_match_numeric(
+        lambda: F.conv2d(x, w, b, stride=stride, padding=padding),
+        [x, w, b],
+    )
+
+
 def test_conv2d_validates():
     x = leaf((2, 3, 8, 8))
     w = leaf((5, 4, 3, 3))
@@ -66,26 +114,91 @@ def test_conv2d_validates():
         F.conv2d(leaf((1, 3, 2, 2)), leaf((5, 3, 3, 3)))
 
 
-def test_upsample_zeros_pattern():
-    x = leaf((1, 1, 2, 2))
-    y = F.upsample_zeros(x, 2)
-    assert y.shape == (1, 1, 4, 4)
-    assert np.allclose(y.data[0, 0, ::2, ::2], x.data[0, 0])
-    assert np.allclose(y.data[0, 0, 1::2, :], 0.0)
-    y.sum().backward()
-    assert np.allclose(x.grad, 1.0)
-
-
-def test_upsample_identity_for_stride_one():
-    x = leaf((1, 1, 2, 2))
-    assert F.upsample_zeros(x, 1) is x
-
-
 def test_deconv_doubles_spatial_size():
     x = leaf((2, 4, 8, 8))
     w = leaf((3, 4, 3, 3), seed=1)
-    out = F.conv2d(F.upsample_zeros(x, 2), w, padding=1)
+    out = F.conv_transpose2d(x, w, stride=2)
     assert out.shape == (2, 3, 16, 16)
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("kernel", [1, 3, 5])
+@pytest.mark.parametrize("hw", [(4, 5), (3, 3)])
+def test_subpixel_deconv_equals_zero_stuffed_conv(stride, kernel, hw):
+    x = leaf((2, 3) + hw)
+    w = leaf((4, 3, kernel, kernel), seed=1)
+    b = leaf((4,), seed=2)
+    for bias in (b, None):
+        out = F.conv_transpose2d(x, w, bias, stride=stride).data
+        ref = _zero_stuffed_deconv(
+            x.data, w.data, None if bias is None else b.data, stride
+        )
+        assert out.shape == ref.shape
+        assert np.abs(out - ref).max() <= 1e-12
+
+
+@pytest.mark.parametrize("stride", [2, 3])
+@pytest.mark.parametrize("hw", [(3, 4), (2, 2)])
+@pytest.mark.parametrize("with_bias", [True, False])
+def test_subpixel_deconv_gradients_numeric(stride, hw, with_bias):
+    x = leaf((2, 2) + hw)
+    w = leaf((3, 2, 3, 3), seed=1)
+    b = leaf((3,), seed=2) if with_bias else None
+    params = [x, w] + ([b] if with_bias else [])
+    _grads_match_numeric(
+        lambda: F.conv_transpose2d(x, w, b, stride=stride), params
+    )
+
+
+def test_subpixel_deconv_validates():
+    with pytest.raises(ModelError):
+        F.conv_transpose2d(leaf((1, 2, 3, 3)), leaf((3, 2, 2, 2)))
+    with pytest.raises(ModelError):
+        F.conv_transpose2d(leaf((1, 2, 3, 3)), leaf((3, 4, 3, 3)))
+    with pytest.raises(ModelError):
+        F.conv_transpose2d(leaf((1, 2, 3, 3)), leaf((3, 2, 3, 3)), stride=0)
+
+
+@pytest.mark.parametrize("kernel", [3, 5])
+def test_shifted_conv_matches_conv2d(kernel):
+    x = leaf((2, 2, 5, 6))
+    w = leaf((1, 2, kernel, kernel), seed=1)
+    b = leaf((1,), seed=2)
+    out = F.shifted_conv2d(x, w, b).data
+    ref = F.conv2d(x, w, b, padding=kernel // 2).data
+    assert np.abs(out - ref).max() <= 1e-12
+
+
+def test_shifted_conv_gradients_numeric():
+    x = leaf((2, 2, 4, 5))
+    w = leaf((1, 2, 5, 5), seed=1)
+    b = leaf((1,), seed=2)
+    _grads_match_numeric(lambda: F.shifted_conv2d(x, w, b), [x, w, b])
+
+
+def test_shifted_conv_validates():
+    with pytest.raises(ModelError):
+        F.shifted_conv2d(leaf((1, 2, 4, 4)), leaf((2, 2, 3, 3)), leaf((1,)))
+    with pytest.raises(ModelError):
+        F.shifted_conv2d(leaf((1, 2, 4, 4)), leaf((1, 2, 4, 4)), leaf((1,)))
+
+
+def test_pointwise_conv_matches_channel_gemm():
+    x = leaf((2, 3, 4, 5))
+    w = leaf((4, 3, 1, 1), seed=1)
+    b = leaf((4,), seed=2)
+    out = F.conv2d(x, w, b).data
+    ref = np.einsum("oc,nchw->nohw", w.data[:, :, 0, 0], x.data)
+    assert np.abs(out - (ref + b.data.reshape(1, 4, 1, 1))).max() <= 1e-12
+
+
+@pytest.mark.parametrize("with_bias", [True, False])
+def test_pointwise_conv_gradients_numeric(with_bias):
+    x = leaf((2, 3, 3, 4))
+    w = leaf((4, 3, 1, 1), seed=1)
+    b = leaf((4,), seed=2) if with_bias else None
+    params = [x, w] + ([b] if with_bias else [])
+    _grads_match_numeric(lambda: F.conv2d(x, w, b), params)
 
 
 def test_global_pools():

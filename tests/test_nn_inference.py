@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.mmspacenet import AttentionResidualBlock
 from repro.core.regressor import HandJointRegressor
 from repro.errors import InferenceCompileError
 from repro.nn.inference import BufferArena, compile_model
@@ -121,6 +122,21 @@ def test_conv_transpose_bn_folding_matches_eager(rng):
     x = rng.normal(size=(2, 4, 6, 6)).astype(np.float32)
     eager = seq(Tensor(x)).data
     out = compile_model(seq).run(x)
+    assert out.shape == eager.shape
+    assert float(np.abs(out - eager).max()) <= 1e-5
+
+
+@pytest.mark.parametrize("batch", [1, 16])
+def test_attention_residual_block_compiled_matches_eager(batch, rng):
+    # One block covers every shared conv kernel: the 1x1 preserve conv,
+    # strided 3x3 convs, sub-pixel transposed convs (BN folded) and the
+    # shifted-tap spatial-attention conv.
+    block = AttentionResidualBlock(8, depth=2, rng=np.random.default_rng(4))
+    block(Tensor(rng.normal(size=(4, 8, 16, 16)).astype(np.float32)))
+    block.eval()  # the training pass above left non-trivial BN stats
+    x = rng.normal(size=(batch, 8, 16, 16)).astype(np.float32)
+    eager = block(Tensor(x)).data
+    out = compile_model(block).run(x)
     assert out.shape == eager.shape
     assert float(np.abs(out - eager).max()) <= 1e-5
 

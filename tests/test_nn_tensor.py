@@ -164,6 +164,15 @@ def test_max_splits_ties():
     x = leaf([[1.0, 1.0, 0.0]])
     x.max(axis=1).sum().backward()
     assert np.allclose(x.grad, [[0.5, 0.5, 0.0]])
+    # Over several axes at once the tie is shared by every maximum.
+    y = leaf([[[2.0, 0.0], [2.0, 2.0]], [[1.0, 3.0], [0.0, 0.0]]])
+    out = y.max(axis=(1, 2))
+    assert np.allclose(out.data, [2.0, 3.0])
+    out.sum().backward()
+    third = 1.0 / 3.0
+    assert np.allclose(
+        y.grad, [[[third, 0.0], [third, third]], [[0.0, 1.0], [0.0, 0.0]]]
+    )
 
 
 def test_reshape_transpose_roundtrip_gradient():

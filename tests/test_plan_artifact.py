@@ -150,6 +150,21 @@ def test_wrong_format_and_missing_artifact_rejected(
         load_plan(tmp_path / "plan")
 
 
+def test_layout_1_artifact_rejected(regressor, small_dsp, tmp_path, rng):
+    # Layout 1 lowered transposed convs to zero-stuffing + conv ops;
+    # those artifacts cannot run on the sub-pixel kernels.
+    (json_path, _), _ = _export(
+        regressor, rng, small_dsp, tmp_path / "plan"
+    )
+    with open(json_path) as fh:
+        meta = json.load(fh)
+    meta["layout_version"] = 1
+    with open(json_path, "w") as fh:
+        json.dump(meta, fh)
+    with pytest.raises(SerializationError, match="layout version 1"):
+        load_plan(tmp_path / "plan")
+
+
 def test_plan_matches_config_guard(
     regressor, small_dsp, small_model, tmp_path, rng
 ):

@@ -135,10 +135,9 @@ class ShardedDataset:
     """Lazy, manifest-indexed view over a campaign directory.
 
     Presents enough of the :class:`HandPoseDataset` surface
-    (``__len__``, batch iteration, ``sample_segments`` for int8
-    calibration, ``materialize`` for code that needs plain arrays) that
-    the trainer and the compiled engine's calibration pass consume a
-    campaign without knowing about shards.
+    (``__len__``, batch iteration, ``materialize`` for code that needs
+    plain arrays) that the trainer consumes a campaign without knowing
+    about shards.
     """
 
     def __init__(self, directory: str, prefetch_depth: int = 1) -> None:
@@ -219,32 +218,13 @@ class ShardedDataset:
         self, batch_size: int
     ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         """Sequential (segments, labels) batches across all shards (no
-        shuffling; evaluation / calibration order)."""
+        shuffling; evaluation order)."""
         if batch_size < 1:
             raise CampaignError("batch_size must be >= 1")
         for _, shard in self.iter_shards():
             for start in range(0, len(shard), batch_size):
                 stop = start + batch_size
                 yield shard.segments[start:stop], shard.labels[start:stop]
-
-    def sample_segments(self, count: int, seed: int = 0) -> np.ndarray:
-        """``count`` segments sampled across shards (int8 calibration
-        input). Deterministic in ``seed``; maps shards lazily and reads
-        only the sampled rows."""
-        total = len(self)
-        rng = np.random.default_rng(seed)
-        picks = np.sort(
-            rng.choice(total, size=min(count, total), replace=False)
-        )
-        bounds = np.cumsum([0] + self.shard_lengths)
-        out: List[np.ndarray] = []
-        for index in range(self.num_shards):
-            lo, hi = bounds[index], bounds[index + 1]
-            local = picks[(picks >= lo) & (picks < hi)] - lo
-            if len(local) == 0:
-                continue
-            out.append(np.array(self.shard(index).segments[local]))
-        return np.concatenate(out)
 
     # -- statistics ------------------------------------------------------
     def input_stats(self) -> Tuple[float, float]:

@@ -23,14 +23,8 @@ Subcommands cover the common workflows end to end:
 * ``mmhand export-mesh`` -- reconstruct a mesh from a gesture and write
   OBJ/SVG files;
 * ``mmhand plan export|verify`` -- write / check a portable
-  compiled-plan artifact (folded weights, activation ranges, static
-  memory plans) that servers and gateway workers load instead of
-  retracing the network;
-* ``mmhand trace <cmd> ...`` -- run any other subcommand under the span
-  tracer, print a span summary, and export a Chrome trace;
-* ``mmhand profile <cmd> ...`` -- run any other subcommand under the
-  sampling profiler, print the hot frames, and write a folded-stack
-  profile;
+  compiled-plan artifact (folded weights, static memory plans) that
+  servers and gateway workers load instead of retracing the network;
 * ``mmhand gateway-trace`` -- smoke-run the gateway with distributed
   tracing on and export ONE merged Chrome trace whose worker-side
   spans are parented, across the process boundary, to their
@@ -40,11 +34,12 @@ Subcommands cover the common workflows end to end:
   machine-portable ratio/invariant checks.
 
 ``serve``, ``train`` and ``bench`` additionally accept ``--trace-out``
-(Chrome trace-event JSON of the run; ``serve --workers N`` writes the
-pool-merged trace), ``--metrics-json`` (metrics registry snapshot) and
-``--profile-out`` (folded-stack sampling profile; the gateway path
-merges every worker's samples under per-process lanes). Every command
-is deterministic given ``--seed``.
+(prints a span summary and writes a Chrome trace-event JSON of the run;
+``serve --workers N`` writes the pool-merged trace), ``--metrics-json``
+(metrics registry snapshot) and ``--profile-out`` (prints the hot frames
+and writes a folded-stack sampling profile; the gateway path merges
+every worker's samples under per-process lanes). Every command is
+deterministic given ``--seed``.
 """
 
 from __future__ import annotations
@@ -90,6 +85,21 @@ def _export_observability(args, registry=None) -> None:
     from repro.obs import trace as obs_trace
 
     if getattr(args, "trace_out", None):
+        summary = obs_trace.summary()
+        if summary:
+            print("--- span summary ---")
+            width = max(len(name) for name in summary)
+            for name in sorted(summary):
+                row = summary[name]
+                line = (
+                    f"{name:<{width}s} x{row['count']:<6.0f} "
+                    f"total {row['total_s'] * 1e3:9.2f} ms  "
+                    f"mean {row['mean_s'] * 1e3:8.3f} ms  "
+                    f"max {row['max_s'] * 1e3:8.3f} ms"
+                )
+                if row["errors"]:
+                    line += f"  errors {row['errors']:.0f}"
+                print(line)
         path = obs_trace.export_chrome(args.trace_out)
         print(f"trace -> {path}")
     if getattr(args, "metrics_json", None):
@@ -521,13 +531,6 @@ def _add_serve(subparsers) -> None:
                    help="disable the content-hash result cache")
     p.add_argument("--hop", type=int, default=1,
                    help="frames between emissions per session")
-    p.add_argument("--shard-threads", type=int, default=0,
-                   help="split each compiled micro-batch across N worker "
-                        "threads (0: single-threaded)")
-    p.add_argument("--precision", default="float32",
-                   choices=["float32", "float16", "int8"],
-                   help="compiled-plan execution mode (int8 needs a "
-                        "calibrated plan artifact via --plan)")
     p.add_argument("--plan", dest="plan_path", default=None,
                    metavar="PREFIX",
                    help="load a pre-compiled plan artifact "
@@ -734,20 +737,14 @@ def _cmd_serve(args) -> int:
             "plan_artifact_loaded",
             path=args.plan_path,
             ops=len(compiled.plan.ops),
-            calibrated=bool(compiled.act_ranges),
         )
 
-    if args.shard_threads < 0:
-        print("--shard-threads must be >= 0", file=sys.stderr)
-        return 1
     serving = ServingConfig(
         max_batch_size=args.batch_size,
         queue_capacity=args.queue_capacity,
         policy=args.policy,
         enable_cache=not args.no_cache,
         hop_frames=args.hop,
-        shard_threads=args.shard_threads,
-        precision=args.precision,
     )
     injector = None
     if args.chaos:
@@ -901,8 +898,6 @@ def _cmd_serve_netfront(args) -> int:
             policy=args.policy,
             enable_cache=not args.no_cache,
             hop_frames=args.hop,
-            shard_threads=args.shard_threads,
-            precision=args.precision,
         ),
         seed=args.seed,
         weights_path=args.weights,
@@ -969,8 +964,6 @@ def _cmd_serve_gateway(args) -> int:
             policy=args.policy,
             enable_cache=not args.no_cache,
             hop_frames=args.hop,
-            shard_threads=args.shard_threads,
-            precision=args.precision,
         ),
         seed=args.seed,
         weights_path=args.weights,
@@ -1179,17 +1172,6 @@ def _cmd_bench(args) -> int:
             file=sys.stderr,
         )
         return 1
-    quantized = model_summary.get("quantized")
-    if quantized is not None and not quantized["within_budgets"]:
-        print(
-            "quantized execution exceeded its error budgets (float16 "
-            f"{quantized['float16_max_diff_mm']:.3f} mm vs "
-            f"{quantized['float16_budget_mm']:.1f} mm, int8 "
-            f"{quantized['int8_mean_joint_err_mm']:.3f} mm vs "
-            f"{quantized['int8_budget_mm']:.1f} mm)",
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 
@@ -1240,12 +1222,12 @@ def _add_plan(subparsers) -> None:
     p = subparsers.add_parser(
         "plan",
         help="export / verify portable compiled-plan artifacts "
-             "(folded weights, activation ranges, memory plans)",
+             "(folded weights, memory plans)",
     )
     plan_sub = p.add_subparsers(dest="plan_command", required=True)
     export = plan_sub.add_parser(
         "export",
-        help="compile + calibrate the regressor and write "
+        help="compile the regressor and write "
              "<prefix>.json + <prefix>.npz",
     )
     export.add_argument(
@@ -1259,12 +1241,6 @@ def _add_plan(subparsers) -> None:
     export.add_argument(
         "--small", action="store_true",
         help="shrunken smoke configuration (matches bench --smoke)"
-    )
-    export.add_argument(
-        "--calibration-segments", type=int, default=16,
-        help="seeded capture-campaign segments recorded for int8 "
-             "activation ranges (0 skips calibration; int8 then "
-             "refuses to run)"
     )
     export.add_argument(
         "--batch-size", type=int, default=4,
@@ -1291,14 +1267,10 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_plan_export(args) -> int:
-    from repro.nn.inference import PRECISIONS
     from repro.nn.serialization import regressor_config_meta, save_plan
     from repro.core.regressor import HandJointRegressor
-    from repro.perf.model_bench import bench_configs, calibration_segments
+    from repro.perf.model_bench import bench_configs
 
-    if args.calibration_segments < 0:
-        print("--calibration-segments must be >= 0", file=sys.stderr)
-        return 1
     if args.batch_size < 1:
         print("--batch-size must be >= 1", file=sys.stderr)
         return 1
@@ -1314,17 +1286,8 @@ def _cmd_plan_export(args) -> int:
         print("model failed to compile; nothing to export",
               file=sys.stderr)
         return 1
-    if args.calibration_segments > 0:
-        segments = calibration_segments(
-            dsp, count=args.calibration_segments, seed=args.seed
-        )
-        registers = regressor.calibrate(segments)
-        print(
-            f"calibrated {registers} activation registers on "
-            f"{len(segments)} campaign segments"
-        )
-    # Warm the static memory plans the artifact should carry: one per
-    # (shape, precision) signature at the serving batch size.
+    # Warm the static memory plan the artifact should carry: the
+    # signature of the serving batch size.
     rng = np.random.default_rng(args.seed)
     warm = regressor.normalize_inputs(
         rng.normal(
@@ -1334,10 +1297,7 @@ def _cmd_plan_export(args) -> int:
             )
         ).astype(np.float32)
     )
-    for precision in PRECISIONS:
-        if precision == "int8" and not compiled.act_ranges:
-            continue
-        compiled.run(warm, precision=precision)
+    compiled.run(warm)
     json_path, npz_path = save_plan(
         compiled, args.prefix,
         config=regressor_config_meta(
@@ -1349,7 +1309,7 @@ def _cmd_plan_export(args) -> int:
         f"plan: {stats['ops']} ops over {stats['params']} params, "
         f"{stats['memory_plans']} memory plans "
         f"(planned {stats['planned_bytes']} B vs arena "
-        f"{stats['arena_bytes']} B), calibrated={stats['calibrated']}"
+        f"{stats['arena_bytes']} B)"
     )
     print(f"artifact -> {json_path} + {npz_path}")
     return 0
@@ -1378,20 +1338,6 @@ def _cmd_plan_verify(args) -> int:
         f"(tolerance {report['tolerance']:.0e}, "
         f"ok: {report['float32_ok']})"
     )
-    if "float16_max_diff_mm" in report:
-        print(
-            f"float16: max joint diff {report['float16_max_diff_mm']:.3f} "
-            f"mm (budget {report['float16_budget_mm']:.1f} mm, "
-            f"ok: {report['float16_ok']})"
-        )
-        print(
-            f"int8: mean joint error {report['int8_mean_joint_err_mm']:.3f} "
-            f"mm (budget {report['int8_budget_mm']:.1f} mm, "
-            f"ok: {report['int8_ok']})"
-        )
-    else:
-        print("no activation ranges in artifact; quantized modes "
-              "not checked")
     if args.json_path:
         with open(args.json_path, "w") as fh:
             json.dump(report, fh, indent=2, default=float)
@@ -1401,105 +1347,6 @@ def _cmd_plan_verify(args) -> int:
         return 1
     print("plan verification passed")
     return 0
-
-
-def _add_trace(subparsers) -> None:
-    p = subparsers.add_parser(
-        "trace",
-        help="run another mmhand command under the span tracer, print "
-             "a span summary, and export a Chrome trace",
-    )
-    p.add_argument(
-        "rest", nargs=argparse.REMAINDER, metavar="command",
-        help="the wrapped command line, e.g. "
-             "'bench --smoke --trace-out trace.json'",
-    )
-
-
-def _cmd_trace(args) -> int:
-    from repro.obs import trace as obs_trace
-
-    rest = list(args.rest)
-    if rest and rest[0] == "--":
-        rest = rest[1:]
-    if not rest:
-        print("trace: missing command to run", file=sys.stderr)
-        return 1
-    if rest[0] == "trace":
-        print("trace: cannot nest the trace wrapper", file=sys.stderr)
-        return 1
-    tracer = obs_trace.get_tracer()
-    tracer.clear()
-    code = main(rest)
-    summary = tracer.summary()
-    if summary:
-        print("--- span summary ---")
-        width = max(len(name) for name in summary)
-        for name in sorted(summary):
-            row = summary[name]
-            line = (
-                f"{name:<{width}s} x{row['count']:<6.0f} "
-                f"total {row['total_s'] * 1e3:9.2f} ms  "
-                f"mean {row['mean_s'] * 1e3:8.3f} ms  "
-                f"max {row['max_s'] * 1e3:8.3f} ms"
-            )
-            if row["errors"]:
-                line += f"  errors {row['errors']:.0f}"
-            print(line)
-    if "--trace-out" not in rest:
-        path = obs_trace.export_chrome("TRACE.json")
-        print(f"trace -> {path}")
-    return code
-
-
-def _add_profile(subparsers) -> None:
-    p = subparsers.add_parser(
-        "profile",
-        help="run another mmhand command under the sampling profiler, "
-             "print the hot frames, and write a folded-stack profile",
-    )
-    p.add_argument(
-        "--hz", type=float, default=None, metavar="HZ",
-        help="sampling rate (default 97 Hz)",
-    )
-    p.add_argument(
-        "--out", default="PROFILE.folded", metavar="PATH",
-        help="folded-stack output path (default: PROFILE.folded)",
-    )
-    p.add_argument(
-        "--top", type=int, default=10, metavar="N",
-        help="hot leaf frames to print (default: 10)",
-    )
-    p.add_argument(
-        "rest", nargs=argparse.REMAINDER, metavar="command",
-        help="the wrapped command line, e.g. 'bench --smoke'",
-    )
-
-
-def _cmd_profile(args) -> int:
-    from repro.obs.profiler import DEFAULT_HZ, SamplingProfiler
-
-    rest = list(args.rest)
-    if rest and rest[0] == "--":
-        rest = rest[1:]
-    if not rest:
-        print("profile: missing command to run", file=sys.stderr)
-        return 1
-    if rest[0] == "profile":
-        print(
-            "profile: cannot nest the profile wrapper", file=sys.stderr
-        )
-        return 1
-    profiler = SamplingProfiler(hz=args.hz or DEFAULT_HZ)
-    with profiler:
-        code = main(rest)
-    print("--- profile ---")
-    print(profiler.report(limit=args.top))
-    _write_profile(
-        args.out, profiler.to_dict(),
-        overhead=profiler.overhead_ratio(),
-    )
-    return code
 
 
 def _add_gateway_trace(subparsers) -> None:
@@ -1903,8 +1750,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_bench(subparsers)
     _add_export_mesh(subparsers)
     _add_plan(subparsers)
-    _add_trace(subparsers)
-    _add_profile(subparsers)
     _add_gateway_trace(subparsers)
     _add_campaign(subparsers)
     _add_bench_compare(subparsers)
@@ -1925,8 +1770,6 @@ _COMMANDS = {
     "netfront-bench": _cmd_netfront_bench,
     "export-mesh": _cmd_export_mesh,
     "plan": _cmd_plan,
-    "trace": _cmd_trace,
-    "profile": _cmd_profile,
     "campaign": _cmd_campaign,
 }
 
@@ -1949,6 +1792,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         if profiler is not None:
             profiler.stop()
             if getattr(args, "profile_out", None):
+                print("--- profile ---")
+                print(profiler.report(limit=10))
                 _write_profile(
                     args.profile_out, profiler.to_dict(),
                     overhead=profiler.overhead_ratio(),

@@ -148,57 +148,19 @@ class HandJointRegressor(Module):
         return normalised * self.label_std + self.label_mean
 
     # ------------------------------------------------------------------
-    def calibrate(
-        self, segments: np.ndarray, batch_size: int = 64
-    ) -> int:
-        """Record activation ranges for int8 from raw cube segments.
-
-        Normalizes ``segments`` exactly like :meth:`predict` and runs
-        the compiled plan's calibration pass
-        (:meth:`~repro.nn.inference.CompiledModel.calibrate`). Returns
-        the number of registers with recorded ranges. Raises
-        :class:`~repro.errors.InferenceCompileError` if the model
-        cannot be compiled.
-        """
-        plan = self.compiled()
-        if plan is None:
-            raise InferenceCompileError(
-                "cannot calibrate: model failed to compile"
-            )
-        segments = np.asarray(segments, dtype=np.float32)
-        if segments.ndim == 4:
-            segments = segments[None]
-        if segments.ndim != 5 or segments.shape[0] == 0:
-            raise ModelError(
-                f"calibrate expects non-empty (N, st, V, D, A) "
-                f"segments, got {segments.shape}"
-            )
-        batches = (
-            self.normalize_inputs(segments[start:start + batch_size])
-            for start in range(0, len(segments), batch_size)
-        )
-        return len(plan.calibrate(batches))
-
     # ------------------------------------------------------------------
     def predict(
         self,
         segments: np.ndarray,
         batch_size: int = 64,
         use_compiled: bool = True,
-        shards: Optional[int] = None,
-        precision: str = "float32",
     ) -> np.ndarray:
         """Joints in metres for raw cube segments ``(N, st, V, D, A)``.
 
         Runs in eval mode without recording gradients. By default each
         batch executes the compiled autograd-free plan
         (:mod:`repro.nn.inference`); ``use_compiled=False`` forces the
-        eager forward, and ``shards`` splits each compiled batch across
-        that many worker threads (useful for large serving batches).
-        ``precision`` selects the compiled plan's execution mode
-        (``"float32"`` / ``"float16"`` / ``"int8"``; int8 requires a
-        prior :meth:`calibrate`). The eager fallback always runs
-        float32.
+        eager forward.
         """
         segments = np.asarray(segments, dtype=np.float32)
         if segments.ndim == 4:
@@ -227,9 +189,7 @@ class HandJointRegressor(Module):
                         segments[start : start + batch_size]
                     )
                     if plan is not None:
-                        pred = plan.run(
-                            batch, shards=shards, precision=precision
-                        )
+                        pred = plan.run(batch)
                     else:
                         pred = self.forward(Tensor(batch)).data
                     outputs.append(self.denormalize_labels(pred))

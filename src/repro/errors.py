@@ -45,12 +45,6 @@ class InferenceCompileError(ModelError):
     autograd forward under ``no_grad()``."""
 
 
-class QuantizationError(InferenceCompileError):
-    """A quantized execution mode was misused (e.g. int8 without
-    calibration). Subclasses :class:`InferenceCompileError` so serving
-    degrades to the eager forward instead of failing the request."""
-
-
 class SerializationError(ModelError):
     """Weights could not be saved or restored."""
 

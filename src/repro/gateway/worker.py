@@ -126,7 +126,7 @@ def _build_server(config: WorkerConfig):
     if config.plan_path is not None:
         # Load the pre-compiled plan artifact instead of tracing and
         # folding in every worker process: N workers spawn against one
-        # exported plan (folded weights, quant ranges, memory plans).
+        # exported plan (folded weights, memory plans).
         from repro.errors import SerializationError
         from repro.nn.serialization import (
             attach_plan,
@@ -148,7 +148,6 @@ def _build_server(config: WorkerConfig):
             "plan_artifact_loaded",
             path=config.plan_path,
             ops=len(compiled.plan.ops),
-            calibrated=bool(compiled.act_ranges),
             memory_plans=len(compiled._memory_plans),
         )
     injector = None

@@ -33,7 +33,6 @@ from repro.nn.optim import SGD, Adam, CosineSchedule
 from repro.nn.loss import mse_loss, l2_joint_loss
 from repro.nn.serialization import save_state, load_state
 from repro.nn.inference import (
-    BufferArena,
     CompiledModel,
     ForwardPlan,
     PlanBuilder,
@@ -68,7 +67,6 @@ __all__ = [
     "l2_joint_loss",
     "save_state",
     "load_state",
-    "BufferArena",
     "CompiledModel",
     "ForwardPlan",
     "PlanBuilder",

@@ -19,28 +19,19 @@ the classic serving-side optimisations:
   request, a liveness pass computes each buffer's ``[first, last]`` op
   interval, and greedy interval-graph coloring packs the buffers into a
   small set of reused slabs (:class:`MemoryPlan` / :class:`PlannedArena`),
-  typically a large cut versus the one-buffer-per-request
-  :class:`BufferArena`;
-* **quantized execution modes** -- ``precision="float16"`` rounds GEMM
-  weights and outputs through the float16 grid; ``precision="int8"``
-  runs symmetric per-channel weight quantization with per-tensor
-  activation fake-quant from calibrated ranges
-  (:meth:`CompiledModel.calibrate`), accumulating in float32 in the
-  im2col-GEMM epilogue. Attention ops (sigmoid-gated, numerically
-  touchy) always run float32;
-* **parallel batch sharding** -- :meth:`CompiledModel.run` optionally
-  splits a large fused batch across a thread pool, one planned arena per
-  shard (rows are independent in eval mode, so outputs are unchanged).
+  typically a large cut versus one buffer per request.
+
+A plan runs in float32 on the calling thread; processes (the gateway's
+workers) are the unit of parallelism.
 
 Folded weights are memoized against the sum of the source parameters'
 :attr:`~repro.nn.tensor.Tensor.version` counters (bumped by optimizer
 steps and ``load_state_dict``), so a live trainer and a serving plan can
-share one module: the next compiled call after a weight update refolds
-(and drops any cached quantized weight variants).
+share one module: the next compiled call after a weight update refolds.
 
 Plans are also *portable*: every op exposes ``export_state`` /
 ``restore`` so :mod:`repro.nn.serialization` can write a compiled plan
-(ops, folded weights, quant ranges, memory plans) to a versioned on-disk
+(ops, folded weights, memory plans) to a versioned on-disk
 artifact and rebuild a detached :class:`CompiledModel` in another
 process without retracing or refolding.
 
@@ -56,17 +47,11 @@ from __future__ import annotations
 import threading
 import time
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import (
-    InferenceCompileError,
-    ModelError,
-    QuantizationError,
-    SerializationError,
-)
+from repro.errors import InferenceCompileError, ModelError, SerializationError
 from repro.nn.attention import (
     FrameAttention,
     SpatialAttention,
@@ -89,9 +74,6 @@ from repro.nn.rnn import LSTM
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace
 
-PRECISIONS = ("float32", "float16", "int8")
-"""Execution modes accepted by :meth:`CompiledModel.run`."""
-
 
 def _relu_inplace(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0, out=x)
@@ -104,113 +86,6 @@ def _sigmoid_inplace(x: np.ndarray) -> np.ndarray:
     x += 1.0
     np.reciprocal(x, out=x)
     return x
-
-
-class BufferArena:
-    """Per-execution scratch buffers keyed by ``(op id, tag)``.
-
-    A buffer is reallocated only when its requested shape or dtype
-    changes, so a serving loop with a stable batch shape reuses every
-    intermediate. ``zero=True`` buffers are zero-filled once at
-    allocation; ops relying on it only ever write the same positions
-    (padding interiors), so the zeros persist.
-    """
-
-    def __init__(self) -> None:
-        self._buffers: Dict[Tuple, np.ndarray] = {}
-
-    def get(
-        self, key: Tuple, shape: Tuple[int, ...], dtype,
-        zero: bool = False,
-    ) -> np.ndarray:
-        buf = self._buffers.get(key)
-        if buf is None or buf.shape != tuple(shape) or buf.dtype != dtype:
-            buf = (
-                np.zeros(shape, dtype) if zero else np.empty(shape, dtype)
-            )
-            self._buffers[key] = buf
-        return buf
-
-    @property
-    def nbytes(self) -> int:
-        return sum(buf.nbytes for buf in self._buffers.values())
-
-    def __len__(self) -> int:
-        return len(self._buffers)
-
-
-class ExecContext:
-    """Execution-time state handed to every op: scratch + precision."""
-
-    __slots__ = ("arena", "precision", "scales")
-
-    def __init__(
-        self,
-        arena,
-        precision: str = "float32",
-        scales: Optional[Dict[int, float]] = None,
-    ) -> None:
-        self.arena = arena
-        self.precision = precision
-        self.scales = scales
-
-
-# ----------------------------------------------------------------------
-# Quantization helpers
-# ----------------------------------------------------------------------
-def _quantize_weight_f16(w: np.ndarray) -> np.ndarray:
-    """Round a weight through the float16 grid (compute stays float32)."""
-    return np.ascontiguousarray(w.astype(np.float16).astype(w.dtype))
-
-
-def _quantize_weight_int8(w: np.ndarray, channel_axis: int) -> np.ndarray:
-    """Symmetric per-channel int8 quantization of a 2-D GEMM weight.
-
-    Returns the *dequantized* float copy (``round(w/s) * s`` clipped to
-    [-127, 127] steps): numpy has no int8 BLAS, so the GEMM itself runs
-    in float32 -- this is the "float32 accumulate" epilogue, with the
-    weight error exactly that of real int8 storage.
-    """
-    reduce_axis = 1 - channel_axis
-    amax = np.max(np.abs(w), axis=reduce_axis, keepdims=True)
-    scale = amax / 127.0
-    scale[scale == 0.0] = 1.0
-    w_q = np.clip(np.rint(w / scale), -127.0, 127.0)
-    return np.ascontiguousarray((w_q * scale).astype(w.dtype))
-
-
-def _fake_quant_input(
-    x: np.ndarray, reg: int, ctx: ExecContext, key: Tuple
-) -> np.ndarray:
-    """Per-tensor symmetric int8 fake-quant of an activation.
-
-    Uses the calibrated absolute-max range for ``reg``; registers the
-    calibration never saw (or saw as all-zero) pass through unquantized.
-    The result lives in an arena scratch buffer under ``key + ("q",)``.
-    """
-    scales = ctx.scales
-    if scales is None:
-        return x
-    amax = scales.get(reg)
-    if amax is None or amax <= 0.0:
-        return x
-    scale = amax / 127.0
-    buf = ctx.arena.get(key + ("q",), x.shape, x.dtype)
-    np.multiply(x, 1.0 / scale, out=buf)
-    np.rint(buf, out=buf)
-    np.clip(buf, -127.0, 127.0, out=buf)
-    buf *= scale
-    return buf
-
-
-def _round_f16_inplace(
-    out: np.ndarray, arena, key: Tuple
-) -> np.ndarray:
-    """Round ``out`` through the float16 grid using an arena temp."""
-    tmp = arena.get(key + ("f16",), out.shape, np.float16)
-    np.copyto(tmp, out)
-    np.copyto(out, tmp)
-    return out
 
 
 def _reshape_fn_from_spec(spec) -> Callable:
@@ -275,7 +150,6 @@ class PlanOp:
         self.src = src
         self.dst = dst
         self._detached = False
-        self._modes: Dict[str, Any] = {}
 
     def reads(self) -> Tuple[int, ...]:
         """Registers this op reads (used by the liveness analysis)."""
@@ -284,7 +158,7 @@ class PlanOp:
     def refold(self) -> None:
         """Recompute folded weights from the live source parameters."""
 
-    def run(self, regs: List, ctx: ExecContext) -> None:
+    def run(self, regs: List, arena) -> None:
         raise NotImplementedError
 
     # -- portability ----------------------------------------------------
@@ -317,7 +191,6 @@ class PlanOp:
         op.src = int(meta["src"])
         op.dst = int(meta["dst"])
         op._detached = True
-        op._modes = {}
         for attr in cls.export_attrs:
             setattr(op, attr, meta[attr])
         for attr in cls.export_arrays:
@@ -327,25 +200,6 @@ class PlanOp:
 
     def _finish_restore(self, meta: Dict[str, Any]) -> None:
         """Hook to null module refs / rebuild derived callables."""
-
-
-def _epilogue(ctx: ExecContext, key: Tuple, relu: bool) -> F.Epilogue:
-    """In-place epilogue of the plan's conv ops on the shared kernels.
-
-    Applies the fused ReLU, then (``float16`` mode) rounds the output
-    through the float16 grid via an arena temp under ``key``.
-    """
-    f16 = ctx.precision == "float16"
-    if not (relu or f16):
-        return None
-
-    def run(out: np.ndarray) -> None:
-        if relu:
-            _relu_inplace(out)
-        if f16:
-            _round_f16_inplace(out, ctx.arena, key)
-
-    return run
 
 
 def _fold_conv(
@@ -396,33 +250,16 @@ class ConvOp(PlanOp):
         if self._detached:
             return
         self.w_flat, self.bias_col = _fold_conv(self.conv, self.bn)
-        self._modes = {}
 
     def _finish_restore(self, meta: Dict[str, Any]) -> None:
         self.conv = None
         self.bn = None
 
-    def _weights(self, precision: str) -> np.ndarray:
-        if precision == "float32":
-            return self.w_flat
-        cached = self._modes.get(precision)
-        if cached is None:
-            if precision == "float16":
-                cached = _quantize_weight_f16(self.w_flat)
-            else:
-                cached = _quantize_weight_int8(self.w_flat, channel_axis=0)
-            self._modes[precision] = cached
-        return cached
-
-    def run(self, regs: List, ctx: ExecContext) -> None:
-        x = regs[self.src]
-        key = (self.op_id,)
-        if ctx.precision == "int8":
-            x = _fake_quant_input(x, self.src, ctx, key)
+    def run(self, regs: List, arena) -> None:
         regs[self.dst], _ = F.conv2d_raw(
-            x, self._weights(ctx.precision), self.bias_col, self.kh,
-            self.kw, self.stride, self.padding, ctx.arena, key,
-            _epilogue(ctx, key, self.relu),
+            regs[self.src], self.w_flat, self.bias_col, self.kh, self.kw,
+            self.stride, self.padding, arena, (self.op_id,),
+            _relu_inplace if self.relu else None,
         )
 
 
@@ -431,8 +268,7 @@ class ConvTransposeOp(ConvOp):
 
     ``w_flat`` is the folded kernel in sub-pixel form
     (:func:`~repro.nn.functional.subpixel_weight`) and ``bias_col`` the
-    folded bias tiled once per output phase; quantized modes treat each
-    (phase, channel) row as one output channel.
+    folded bias tiled once per output phase.
     """
 
     name = "conv_transpose2d"
@@ -463,16 +299,12 @@ class ConvTransposeOp(ConvOp):
             w_flat.reshape(self.conv.weight.data.shape), self.stride
         )
         self.bias_col = np.tile(bias_col, (self.stride ** 2, 1))
-        self._modes = {}
 
-    def run(self, regs: List, ctx: ExecContext) -> None:
-        x = regs[self.src]
-        key = (self.op_id,)
-        if ctx.precision == "int8":
-            x = _fake_quant_input(x, self.src, ctx, key)
+    def run(self, regs: List, arena) -> None:
         regs[self.dst], _ = F.conv_transpose2d_raw(
-            x, self._weights(ctx.precision), self.bias_col, self.kernel,
-            self.stride, ctx.arena, key, _epilogue(ctx, key, self.relu),
+            regs[self.src], self.w_flat, self.bias_col, self.kernel,
+            self.stride, arena, (self.op_id,),
+            _relu_inplace if self.relu else None,
         )
 
 
@@ -505,10 +337,10 @@ class BatchNormOp(PlanOp):
     def _finish_restore(self, meta: Dict[str, Any]) -> None:
         self.bn = None
 
-    def run(self, regs: List, ctx: ExecContext) -> None:
+    def run(self, regs: List, arena) -> None:
         x = regs[self.src]
         dtype = np.result_type(x.dtype, self.scale.dtype)
-        out = ctx.arena.get((self.op_id, "out"), x.shape, dtype)
+        out = arena.get((self.op_id, "out"), x.shape, dtype)
         np.multiply(x, self.scale, out=out)
         out += self.shift
         if self.relu:
@@ -526,9 +358,9 @@ class ActivationOp(PlanOp):
         super().__init__(op_id, src, dst)
         self.kind = kind
 
-    def run(self, regs: List, ctx: ExecContext) -> None:
+    def run(self, regs: List, arena) -> None:
         x = regs[self.src]
-        out = ctx.arena.get((self.op_id, "out"), x.shape, x.dtype)
+        out = arena.get((self.op_id, "out"), x.shape, x.dtype)
         if self.kind == "relu":
             np.maximum(x, 0.0, out=out)
         elif self.kind == "sigmoid":
@@ -552,9 +384,9 @@ class AddReluOp(PlanOp):
     def reads(self) -> Tuple[int, ...]:
         return (self.src, self.other)
 
-    def run(self, regs: List, ctx: ExecContext) -> None:
+    def run(self, regs: List, arena) -> None:
         a, b = regs[self.src], regs[self.other]
-        out = ctx.arena.get(
+        out = arena.get(
             (self.op_id, "out"), a.shape, np.result_type(a.dtype, b.dtype)
         )
         np.add(a, b, out=out)
@@ -585,41 +417,21 @@ class LinearOp(PlanOp):
         self.bias = (
             self.linear.bias.data if self.linear.bias is not None else None
         )
-        self._modes = {}
 
     def _finish_restore(self, meta: Dict[str, Any]) -> None:
         self.linear = None
 
-    def _weights(self, precision: str) -> np.ndarray:
-        if precision == "float32":
-            return self.w_t
-        cached = self._modes.get(precision)
-        if cached is None:
-            if precision == "float16":
-                cached = _quantize_weight_f16(self.w_t)
-            else:
-                # w_t is (in, out): columns are output channels.
-                cached = _quantize_weight_int8(self.w_t, channel_axis=1)
-            self._modes[precision] = cached
-        return cached
-
-    def run(self, regs: List, ctx: ExecContext) -> None:
+    def run(self, regs: List, arena) -> None:
         x = regs[self.src]
-        key = (self.op_id,)
-        if ctx.precision == "int8":
-            x = _fake_quant_input(x, self.src, ctx, key)
-        w_t = self._weights(ctx.precision)
-        dtype = np.result_type(x.dtype, w_t.dtype)
-        out = ctx.arena.get(
-            key + ("out",), (x.shape[0], w_t.shape[1]), dtype
+        dtype = np.result_type(x.dtype, self.w_t.dtype)
+        out = arena.get(
+            (self.op_id, "out"), (x.shape[0], self.w_t.shape[1]), dtype
         )
-        np.matmul(x, w_t, out=out)
+        np.matmul(x, self.w_t, out=out)
         if self.bias is not None:
             out += self.bias
         if self.relu:
             np.maximum(out, 0.0, out=out)
-        if ctx.precision == "float16":
-            _round_f16_inplace(out, ctx.arena, key)
         regs[self.dst] = out
 
 
@@ -653,7 +465,7 @@ class ReshapeOp(PlanOp):
         self.spec = tuple(self.spec)
         self.shape_fn = _reshape_fn_from_spec(self.spec)
 
-    def run(self, regs: List, ctx: ExecContext) -> None:
+    def run(self, regs: List, arena) -> None:
         x = regs[self.src]
         regs[self.dst] = x.reshape(self.shape_fn(x.shape))
 
@@ -688,16 +500,12 @@ class CheckShapeOp(PlanOp):
     def _finish_restore(self, meta: Dict[str, Any]) -> None:
         self.check_fn = _check_fn_from_spec(self.spec)
 
-    def run(self, regs: List, ctx: ExecContext) -> None:
+    def run(self, regs: List, arena) -> None:
         self.check_fn(regs[self.src].shape)
 
 
 class FrameAttentionOp(PlanOp):
-    """Eq. 2-3: per-frame weights from TGAP+TGMP through two tiny convs.
-
-    Always runs float32: the sigmoid gate amplifies quantization error
-    multiplicatively across the whole segment.
-    """
+    """Eq. 2-3: per-frame weights from TGAP+TGMP through two tiny convs."""
 
     name = "frame_attention"
     export_arrays = ("w1", "b1", "w2", "b2")
@@ -718,29 +526,26 @@ class FrameAttentionOp(PlanOp):
     def _finish_restore(self, meta: Dict[str, Any]) -> None:
         self.module = None
 
-    def run(self, regs: List, ctx: ExecContext) -> None:
+    def run(self, regs: List, arena) -> None:
         x = regs[self.src]
         b, st = x.shape[:2]
         pooled = x.mean(axis=(2, 3, 4)) + x.max(axis=(2, 3, 4))  # (B, st)
         seq = pooled.reshape(b, 1, 1, st)
         hidden, _ = F.conv2d_raw(
-            seq, self.w1, self.b1, 3, 3, 1, 1, ctx.arena,
+            seq, self.w1, self.b1, 3, 3, 1, 1, arena,
             (self.op_id, "c1"), _relu_inplace,
         )
         weights, _ = F.conv2d_raw(
-            hidden, self.w2, self.b2, 3, 3, 1, 1, ctx.arena,
+            hidden, self.w2, self.b2, 3, 3, 1, 1, arena,
             (self.op_id, "c2"), _sigmoid_inplace,
         )
-        out = ctx.arena.get((self.op_id, "out"), x.shape, x.dtype)
+        out = arena.get((self.op_id, "out"), x.shape, x.dtype)
         np.multiply(x, weights.reshape(b, st, 1, 1, 1), out=out)
         regs[self.dst] = out
 
 
 class VelocityChannelAttentionOp(PlanOp):
-    """Eq. 4-5: per-channel weights from GAP||GMP through one FC.
-
-    Always runs float32 (see :class:`FrameAttentionOp`).
-    """
+    """Eq. 4-5: per-channel weights from GAP||GMP through one FC."""
 
     name = "velocity_channel_attention"
     export_arrays = ("w_t", "bias")
@@ -762,20 +567,20 @@ class VelocityChannelAttentionOp(PlanOp):
     def _finish_restore(self, meta: Dict[str, Any]) -> None:
         self.module = None
 
-    def run(self, regs: List, ctx: ExecContext) -> None:
+    def run(self, regs: List, arena) -> None:
         x = regs[self.src]
         n, c = x.shape[:2]
         dtype = np.result_type(x.dtype, self.w_t.dtype)
-        features = ctx.arena.get((self.op_id, "feat"), (n, 2 * c), x.dtype)
+        features = arena.get((self.op_id, "feat"), (n, 2 * c), x.dtype)
         np.mean(x, axis=(2, 3), out=features[:, :c])
         np.max(x, axis=(2, 3), out=features[:, c:])
-        weights = ctx.arena.get(
+        weights = arena.get(
             (self.op_id, "w"), (n, self.w_t.shape[1]), dtype
         )
         np.matmul(features, self.w_t, out=weights)
         weights += self.bias
         _sigmoid_inplace(weights)
-        out = ctx.arena.get((self.op_id, "out"), x.shape, dtype)
+        out = arena.get((self.op_id, "out"), x.shape, dtype)
         np.multiply(x, weights.reshape(n, c, 1, 1), out=out)
         regs[self.dst] = out
 
@@ -785,7 +590,7 @@ class SpatialAttentionOp(PlanOp):
 
     The conv is the eager shifted-tap kernel
     (:func:`~repro.nn.functional.shifted_conv2d_raw`) with the sigmoid
-    as its epilogue. Always runs float32 (see :class:`FrameAttentionOp`).
+    as its epilogue.
     """
 
     name = "spatial_attention"
@@ -808,17 +613,17 @@ class SpatialAttentionOp(PlanOp):
     def _finish_restore(self, meta: Dict[str, Any]) -> None:
         self.module = None
 
-    def run(self, regs: List, ctx: ExecContext) -> None:
+    def run(self, regs: List, arena) -> None:
         x = regs[self.src]
         n, _, d, a = x.shape
-        maps = ctx.arena.get((self.op_id, "maps"), (n, 2, d, a), x.dtype)
+        maps = arena.get((self.op_id, "maps"), (n, 2, d, a), x.dtype)
         np.mean(x, axis=1, out=maps[:, 0])
         np.max(x, axis=1, out=maps[:, 1])
         weights, _ = F.shifted_conv2d_raw(
-            maps, self.weight, self.bias, ctx.arena, (self.op_id, "conv"),
+            maps, self.weight, self.bias, arena, (self.op_id, "conv"),
             _sigmoid_inplace,
         )
-        out = ctx.arena.get(
+        out = arena.get(
             (self.op_id, "out"), x.shape,
             np.result_type(x.dtype, weights.dtype),
         )
@@ -831,9 +636,7 @@ class LSTMOp(PlanOp):
 
     The input projection for *all* timesteps runs as one GEMM up front
     (``(B*T, in) @ (in, 4H)``); the recurrence then only pays the small
-    ``(B, H) @ (H, 4H)`` GEMM and in-place gate math per step. Quantized
-    modes apply to the big input projection only -- the recurrence stays
-    float32 so gate errors do not compound across timesteps.
+    ``(B, H) @ (H, 4H)`` GEMM and in-place gate math per step.
     """
 
     name = "lstm"
@@ -854,37 +657,20 @@ class LSTMOp(PlanOp):
         self.w_ih_t = np.ascontiguousarray(self.lstm.w_ih.data.T)
         self.w_hh_t = np.ascontiguousarray(self.lstm.w_hh.data.T)
         self.bias = self.lstm.bias.data
-        self._modes = {}
 
     def _finish_restore(self, meta: Dict[str, Any]) -> None:
         self.lstm = None
         self.hidden_size = int(self.hidden_size)
 
-    def _input_weights(self, precision: str) -> np.ndarray:
-        if precision == "float32":
-            return self.w_ih_t
-        cached = self._modes.get(precision)
-        if cached is None:
-            if precision == "float16":
-                cached = _quantize_weight_f16(self.w_ih_t)
-            else:
-                cached = _quantize_weight_int8(self.w_ih_t, channel_axis=1)
-            self._modes[precision] = cached
-        return cached
-
-    def run(self, regs: List, ctx: ExecContext) -> None:
+    def run(self, regs: List, arena) -> None:
         x = regs[self.src]
         key = (self.op_id,)
-        if ctx.precision == "int8":
-            x = _fake_quant_input(x, self.src, ctx, key)
         b, steps, _ = x.shape
         h_dim = self.hidden_size
         gates_dim = 4 * h_dim
-        w_ih_t = self._input_weights(ctx.precision)
-        dtype = np.result_type(x.dtype, w_ih_t.dtype)
-        arena = ctx.arena
+        dtype = np.result_type(x.dtype, self.w_ih_t.dtype)
         xw = arena.get(key + ("xw",), (b * steps, gates_dim), dtype)
-        np.matmul(x.reshape(b * steps, -1), w_ih_t, out=xw)
+        np.matmul(x.reshape(b * steps, -1), self.w_ih_t, out=xw)
         xw3 = xw.reshape(b, steps, gates_dim)
         h = arena.get(key + ("h",), (b, h_dim), dtype)
         c = arena.get(key + ("c",), (b, h_dim), dtype)
@@ -908,8 +694,6 @@ class LSTMOp(PlanOp):
             c += tmp
             np.tanh(c, out=tmp)
             np.multiply(o_gate, tmp, out=h)
-        if ctx.precision == "float16":
-            _round_f16_inplace(h, arena, key + ("h",))
         regs[self.dst] = h
 
 
@@ -979,13 +763,13 @@ def _root_base(arr: np.ndarray) -> np.ndarray:
 
 
 class MemoryPlan:
-    """Static buffer assignment for one ``(shape, dtype, precision)``.
+    """Static buffer assignment for one input ``(shape, dtype)``.
 
     ``slot_sizes`` are the byte sizes of the shared slabs;
     ``assignments`` maps each arena key to ``(slot, shape, dtype,
-    zero)``. ``arena_bytes`` is what the one-buffer-per-request
-    :class:`BufferArena` would have allocated for the same run, so
-    ``planned_bytes / arena_bytes`` is the packing ratio.
+    zero)``. ``arena_bytes`` is what one buffer per request would
+    allocate for the same run, so ``planned_bytes / arena_bytes`` is
+    the packing ratio.
     """
 
     def __init__(
@@ -1007,10 +791,7 @@ class MemoryPlan:
     def to_meta(self) -> Dict[str, Any]:
         """JSON-able form for the on-disk plan artifact."""
         return {
-            "signature": [
-                list(self.signature[0]), self.signature[1],
-                self.signature[2],
-            ],
+            "signature": [list(self.signature[0]), self.signature[1]],
             "slot_sizes": list(self.slot_sizes),
             "arena_bytes": int(self.arena_bytes),
             "assignments": [
@@ -1039,7 +820,7 @@ class MemoryPlan:
             for entry in meta["assignments"]
         }
         return cls(
-            (tuple(sig[0]), sig[1], sig[2]),
+            (tuple(sig[0]), sig[1]),
             [int(s) for s in meta["slot_sizes"]],
             assignments,
             int(meta["arena_bytes"]),
@@ -1088,11 +869,10 @@ def _color_buffers(
 class PlannedArena:
     """Executes a :class:`MemoryPlan`: pre-built views over shared slabs.
 
-    ``zero=True`` buffers are re-zeroed on *every* acquisition -- unlike
-    :class:`BufferArena` the underlying slab is shared, so zeros from a
-    previous op do not persist. Requests the plan has never seen (shape
-    drift, new op) fall back to a private :class:`BufferArena` instead
-    of corrupting a slab.
+    ``zero=True`` buffers are re-zeroed on *every* acquisition: the
+    underlying slab is shared, so zeros from a previous op do not
+    persist. Requests the plan has never seen (shape drift, new op) get
+    a fresh array instead of corrupting a slab.
     """
 
     def __init__(self, plan: MemoryPlan) -> None:
@@ -1105,7 +885,6 @@ class PlannedArena:
             view = np.ndarray(shape, dtype=dtype,
                               buffer=self._slabs[slot])
             self._views[key] = (view, zero)
-        self._overflow: Optional[BufferArena] = None
 
     def get(
         self, key: Tuple, shape: Tuple[int, ...], dtype,
@@ -1118,16 +897,7 @@ class PlannedArena:
                 if zero:
                     view.fill(0)
                 return view
-        if self._overflow is None:
-            self._overflow = BufferArena()
-        return self._overflow.get(key, shape, dtype, zero)
-
-    @property
-    def nbytes(self) -> int:
-        total = sum(slab.nbytes for slab in self._slabs)
-        if self._overflow is not None:
-            total += self._overflow.nbytes
-        return total
+        return np.zeros(shape, dtype) if zero else np.empty(shape, dtype)
 
 
 # ----------------------------------------------------------------------
@@ -1279,23 +1049,20 @@ class ForwardPlan:
         self.out_reg = out_reg
 
     def execute(
-        self, x: np.ndarray, ctx,
+        self, x: np.ndarray, arena,
         profile: Optional[Dict[int, float]] = None,
     ) -> np.ndarray:
-        """Run the op list; ``ctx`` is an :class:`ExecContext` (a bare
-        arena is accepted for backward compatibility). With ``profile``
+        """Run the op list with scratch from ``arena``. With ``profile``
         given, per-op wall time accumulates into it keyed by op id."""
-        if not isinstance(ctx, ExecContext):
-            ctx = ExecContext(ctx)
         regs: List[Optional[np.ndarray]] = [None] * self.num_regs
         regs[0] = x
         if profile is None:
             for op in self.ops:
-                op.run(regs, ctx)
+                op.run(regs, arena)
         else:
             for op in self.ops:
                 tic = time.perf_counter()
-                op.run(regs, ctx)
+                op.run(regs, arena)
                 profile[op.op_id] = (
                     profile.get(op.op_id, 0.0)
                     + time.perf_counter() - tic
@@ -1306,40 +1073,9 @@ class ForwardPlan:
         for op in self.ops:
             op.refold()
 
-    # -- calibration ----------------------------------------------------
-    def record_ranges(
-        self, x: np.ndarray, arena: BufferArena,
-        ranges: Dict[int, float],
-    ) -> np.ndarray:
-        """Float32 execution that records per-register |activation| max.
-
-        The ranges feed the int8 per-tensor activation fake-quant; they
-        are recorded immediately after each op so arena reuse cannot
-        clobber the observed values.
-        """
-        regs: List[Optional[np.ndarray]] = [None] * self.num_regs
-        regs[0] = x
-        ctx = ExecContext(arena)
-        self._observe(ranges, 0, x)
-        for op in self.ops:
-            op.run(regs, ctx)
-            val = regs[op.dst]
-            if isinstance(val, np.ndarray) and val.size:
-                self._observe(ranges, op.dst, val)
-        return regs[self.out_reg]
-
-    @staticmethod
-    def _observe(ranges: Dict[int, float], reg: int, val) -> None:
-        amax = float(np.max(np.abs(val)))
-        if np.isfinite(amax) and amax > ranges.get(reg, 0.0):
-            ranges[reg] = amax
-
     # -- static memory planning -----------------------------------------
     def plan_memory(
-        self,
-        x: np.ndarray,
-        precision: str = "float32",
-        scales: Optional[Dict[int, float]] = None,
+        self, x: np.ndarray
     ) -> Tuple[MemoryPlan, np.ndarray]:
         """Probe-execute once, recording scratch lifetimes, and color.
 
@@ -1351,7 +1087,6 @@ class ForwardPlan:
         the first call per signature does not execute twice).
         """
         probe = _RecordingArena()
-        ctx = ExecContext(probe, precision, scales)
         regs: List[Optional[np.ndarray]] = [None] * self.num_regs
         regs[0] = x
         last_use: Dict[int, int] = {}
@@ -1361,7 +1096,7 @@ class ForwardPlan:
         last_use[self.out_reg] = len(self.ops)
         for i, op in enumerate(self.ops):
             probe.op_index = i
-            op.run(regs, ctx)
+            op.run(regs, probe)
         by_id = {id(rec.array): rec for rec in probe.records}
         for reg, val in enumerate(regs):
             if not isinstance(val, np.ndarray):
@@ -1369,7 +1104,7 @@ class ForwardPlan:
             rec = by_id.get(id(_root_base(val)))
             if rec is not None:
                 rec.end = max(rec.end, last_use.get(reg, rec.end))
-        signature = (tuple(x.shape), str(x.dtype), precision)
+        signature = (tuple(x.shape), str(x.dtype))
         plan = _color_buffers(probe.records, signature)
         return plan, regs[self.out_reg]
 
@@ -1380,24 +1115,20 @@ class CompiledModel:
     ``run`` takes and returns plain ndarrays. The folded weights are
     revalidated against the source parameters' version counters on
     every call; a bumped version (optimizer step, ``load_state_dict``)
-    triggers a cheap refold -- which also drops cached float16/int8
-    weight variants -- so training and serving coexist on one module.
+    triggers a cheap refold, so training and serving coexist on one
+    module.
 
-    Execution uses a static memory plan per ``(input shape, dtype,
-    precision)`` signature: the first call probe-executes and colors
-    buffer lifetimes into a few shared slabs; steady-state calls run
-    allocation-free through a :class:`PlannedArena`. With ``shards > 1``
-    the batch is split across a persistent thread pool, one planned
-    arena per shard -- eval-mode rows are independent, so the fused
-    output is unchanged.
+    Execution uses a static memory plan per input ``(shape, dtype)``
+    signature: the first call probe-executes and colors buffer
+    lifetimes into a few shared slabs; steady-state calls run
+    allocation-free through that signature's :class:`PlannedArena`.
 
     A model restored from an on-disk artifact
     (:func:`repro.nn.serialization.load_plan`) has ``module=None`` and
     no live parameters: it never refolds and is safe to run as-is.
     """
 
-    _MAX_MEMORY_PLANS = 16
-    _MAX_PLANNED_ARENAS = 32
+    _MAX_SIGNATURES = 16
 
     def __init__(self, module: Optional[Module], plan: ForwardPlan) -> None:
         self.module = module
@@ -1407,12 +1138,7 @@ class CompiledModel:
             if module is not None else []
         )
         self._version = self._param_version()
-        self._arena = BufferArena()  # legacy path (use_memory_plan=False)
-        self._shard_arenas: List[BufferArena] = []
-        self._executor: Optional[ThreadPoolExecutor] = None
         self._lock = threading.Lock()
-        self.use_memory_plan = True
-        self.act_ranges: Dict[int, float] = {}
         self._memory_plans: Dict[Tuple, MemoryPlan] = {}
         self._planned_arenas: Dict[Tuple, PlannedArena] = {}
         _LIVE_MODELS.add(self)
@@ -1435,61 +1161,39 @@ class CompiledModel:
                 self._version = version
                 obs_metrics.counter("model.plan.refolds").increment()
 
-    def _shard_slots(self, shards: int) -> ThreadPoolExecutor:
+    def _remember(self, cache: Dict[Tuple, Any], sig: Tuple, value) -> None:
+        """Insert into a per-signature cache, evicting the oldest."""
         with self._lock:
-            if (
-                self._executor is None
-                or self._executor._max_workers < shards
-            ):
-                if self._executor is not None:
-                    self._executor.shutdown(wait=False)
-                self._executor = ThreadPoolExecutor(
-                    max_workers=shards,
-                    thread_name_prefix="repro-infer",
-                )
-            return self._executor
+            cache.setdefault(sig, value)
+            while len(cache) > self._MAX_SIGNATURES:
+                oldest = next(iter(cache))
+                if oldest == sig:
+                    break
+                del cache[oldest]
 
-    def _legacy_arena(self, slot: int) -> BufferArena:
-        if slot == 0:
-            return self._arena
-        with self._lock:
-            while len(self._shard_arenas) < slot:
-                self._shard_arenas.append(BufferArena())
-            return self._shard_arenas[slot - 1]
+    def _memory_plan(
+        self, x: np.ndarray
+    ) -> Tuple[MemoryPlan, Optional[np.ndarray]]:
+        """The memory plan for ``x``'s signature.
 
-    def _execute(
-        self, x: np.ndarray, slot: int, precision: str
-    ) -> np.ndarray:
-        scales = self.act_ranges if precision == "int8" else None
-        if not self.use_memory_plan:
-            ctx = ExecContext(self._legacy_arena(slot), precision, scales)
-            return self.plan.execute(x, ctx)
-        sig = (tuple(x.shape), str(x.dtype), precision)
+        The first call per signature plans by probe-executing ``x`` and
+        also returns that probe's output; later calls return ``None`` in
+        its place.
+        """
+        sig = (tuple(x.shape), str(x.dtype))
         mplan = self._memory_plans.get(sig)
-        if mplan is None:
-            mplan, out = self.plan.plan_memory(x, precision, scales)
-            with self._lock:
-                self._memory_plans.setdefault(sig, mplan)
-                while len(self._memory_plans) > self._MAX_MEMORY_PLANS:
-                    oldest = next(iter(self._memory_plans))
-                    if oldest == sig:
-                        break
-                    del self._memory_plans[oldest]
-            return out
-        arena_key = (slot, sig)
-        arena = self._planned_arenas.get(arena_key)
+        if mplan is not None:
+            return mplan, None
+        mplan, out = self.plan.plan_memory(x)
+        self._remember(self._memory_plans, sig, mplan)
+        return mplan, out
+
+    def _planned_arena(self, mplan: MemoryPlan) -> PlannedArena:
+        arena = self._planned_arenas.get(mplan.signature)
         if arena is None:
             arena = PlannedArena(mplan)
-            with self._lock:
-                self._planned_arenas[arena_key] = arena
-                while (
-                    len(self._planned_arenas) > self._MAX_PLANNED_ARENAS
-                ):
-                    oldest = next(iter(self._planned_arenas))
-                    if oldest == arena_key:
-                        break
-                    del self._planned_arenas[oldest]
-        return self.plan.execute(x, ExecContext(arena, precision, scales))
+            self._remember(self._planned_arenas, mplan.signature, arena)
+        return arena
 
     def seed_memory_plan(self, mplan: MemoryPlan) -> None:
         """Install a memory plan restored from an artifact."""
@@ -1497,94 +1201,39 @@ class CompiledModel:
             self._memory_plans.setdefault(mplan.signature, mplan)
 
     # ------------------------------------------------------------------
-    def calibrate(self, batches) -> Dict[int, float]:
-        """Record per-register activation ranges from ``batches``.
-
-        ``batches`` is an iterable of input arrays (already normalized
-        the way :meth:`run` inputs are). Ranges accumulate across calls,
-        widening only. Returns the updated range table that int8
-        execution will use for per-tensor activation fake-quant.
-        """
-        self._refresh()
-        arena = BufferArena()
-        ranges = dict(self.act_ranges)
-        seen = 0
-        for batch in batches:
-            x = np.asarray(batch, dtype=np.float32)
-            self.plan.record_ranges(x, arena, ranges)
-            seen += 1
-        if not seen:
-            raise QuantizationError(
-                "calibrate() needs at least one input batch"
-            )
-        self.act_ranges = ranges
-        obs_metrics.counter("model.plan.calibrations").increment()
-        return ranges
-
-    def run(
-        self,
-        x: np.ndarray,
-        shards: Optional[int] = None,
-        precision: str = "float32",
-    ) -> np.ndarray:
+    def run(self, x: np.ndarray) -> np.ndarray:
         """Execute the plan on ``x``; returns a fresh output array."""
         x = np.asarray(x)
-        if precision not in PRECISIONS:
-            raise InferenceCompileError(
-                f"unknown precision {precision!r}; expected one of "
-                f"{PRECISIONS}"
-            )
-        if precision == "int8" and not self.act_ranges:
-            raise QuantizationError(
-                "int8 execution requires activation ranges; run "
-                "calibrate() on representative inputs first"
-            )
         self._refresh()
         obs_metrics.counter("model.plan.executes").increment()
-        if precision != "float32":
-            obs_metrics.counter(
-                "model.plan.quantized_executes"
-            ).increment()
         with trace.span(
             "model.forward.compiled", batch=int(x.shape[0]),
-            ops=len(self.plan.ops), shards=int(shards or 1),
-            precision=precision,
+            ops=len(self.plan.ops),
         ):
-            if not shards or shards <= 1 or x.shape[0] < 2 * shards:
-                # The planned-arena buffers (including the output
-                # register) are reused by the next call, so hand back
-                # a copy.
-                return self._execute(x, 0, precision).copy()
-            executor = self._shard_slots(shards)
-            chunks = np.array_split(x, shards)
-            futures = [
-                executor.submit(self._execute, chunk, i + 1, precision)
-                for i, chunk in enumerate(chunks)
-            ]
-            # Concatenate copies the shard outputs out of their arenas.
-            return np.concatenate([f.result() for f in futures], axis=0)
+            mplan, out = self._memory_plan(x)
+            if out is None:
+                out = self.plan.execute(x, self._planned_arena(mplan))
+            # The arena's buffers (including the output register) are
+            # reused by the next call, so hand back a copy.
+            return out.copy()
 
     __call__ = run
 
     def profile(
-        self,
-        x: np.ndarray,
-        precision: str = "float32",
-        repeats: int = 3,
+        self, x: np.ndarray, repeats: int = 3
     ) -> List[Dict[str, Any]]:
         """Per-op cumulative wall time over ``repeats`` executions.
 
-        Returns rows sorted by total time descending:
-        ``{"op_id", "op", "total_s", "share"}``.
+        Runs on the signature's planned arena -- the allocation pattern
+        :meth:`run` serves with. Returns rows sorted by total time
+        descending: ``{"op_id", "op", "total_s", "share"}``.
         """
         x = np.asarray(x)
         self._refresh()
-        scales = self.act_ranges if precision == "int8" else None
-        arena = BufferArena()
+        arena = self._planned_arena(self._memory_plan(x)[0])
         totals: Dict[int, float] = {}
-        ctx = ExecContext(arena, precision, scales)
         for _ in range(max(1, repeats)):
-            self.plan.execute(x, ctx, profile=totals)
+            self.plan.execute(x, arena, profile=totals)
         names = {op.op_id: op.name for op in self.plan.ops}
         grand_total = sum(totals.values()) or 1.0
         rows = [
@@ -1601,24 +1250,22 @@ class CompiledModel:
 
     # ------------------------------------------------------------------
     def memory_stats(self) -> Dict[str, int]:
-        """Arena-vs-planned byte footprint of the largest signature."""
+        """Unpacked-vs-planned byte footprint of the largest signature
+        (all zero before the first call)."""
         with self._lock:
             plans = list(self._memory_plans.values())
-        if plans:
-            biggest = max(plans, key=lambda p: p.arena_bytes)
+        biggest = max(plans, key=lambda p: p.arena_bytes, default=None)
+        if biggest is None:
             return {
-                "arena_bytes": biggest.arena_bytes,
-                "planned_bytes": biggest.planned_bytes,
-                "planned_slots": len(biggest.slot_sizes),
-                "buffers": len(biggest.assignments),
-                "memory_plans": len(plans),
+                "arena_bytes": 0, "planned_bytes": 0, "planned_slots": 0,
+                "buffers": 0, "memory_plans": 0,
             }
         return {
-            "arena_bytes": self._arena.nbytes,
-            "planned_bytes": self._arena.nbytes,
-            "planned_slots": 0,
-            "buffers": len(self._arena),
-            "memory_plans": 0,
+            "arena_bytes": biggest.arena_bytes,
+            "planned_bytes": biggest.planned_bytes,
+            "planned_slots": len(biggest.slot_sizes),
+            "buffers": len(biggest.assignments),
+            "memory_plans": len(plans),
         }
 
     def stats(self) -> Dict[str, Any]:
@@ -1633,8 +1280,6 @@ class CompiledModel:
             "planned_bytes": mem["planned_bytes"],
             "planned_slots": mem["planned_slots"],
             "memory_plans": mem["memory_plans"],
-            "shard_arenas": len(self._shard_arenas),
-            "calibrated": bool(self.act_ranges),
         }
 
 

@@ -7,7 +7,7 @@ Two artifact families live here:
 * :func:`save_plan` / :func:`load_plan` / :func:`verify_plan` -- a
   *compiled forward plan* as a versioned two-file artifact:
   ``<prefix>.json`` holds the layout (op list with declarative attrs,
-  register count, activation ranges, static memory plans, embedded
+  register count, one static memory plan per input shape, embedded
   configs, content hashes) and ``<prefix>.npz`` holds the folded weight
   arrays namespaced ``op<id>.<name>``. Loading rebuilds a detached
   :class:`~repro.nn.inference.CompiledModel` -- no module tree, no
@@ -43,7 +43,7 @@ from repro.nn.layers import Module
 from repro.obs import metrics as obs_metrics
 
 PLAN_FORMAT = "mmhand-forward-plan"
-PLAN_LAYOUT_VERSION = 2
+PLAN_LAYOUT_VERSION = 3
 
 
 def save_state(module: Module, path: Union[str, os.PathLike]) -> None:
@@ -122,9 +122,8 @@ def save_plan(
     """Serialize ``compiled`` to ``<prefix>.json`` + ``<prefix>.npz``.
 
     Captures the full execution state: the op list (declarative attrs
-    and folded float32 weights -- quantized variants are derived
-    deterministically at load time), calibrated activation ranges, and
-    every static memory plan computed so far. ``config`` (see
+    and folded float32 weights) and every static memory plan computed
+    so far (one per input shape). ``config`` (see
     :func:`regressor_config_meta`) is embedded verbatim so
     :func:`verify_plan` and gateway workers can validate compatibility.
     Returns the two paths written.
@@ -145,10 +144,6 @@ def save_plan(
         "num_regs": compiled.plan.num_regs,
         "out_reg": compiled.plan.out_reg,
         "ops": metas,
-        "act_ranges": {
-            str(reg): float(amax)
-            for reg, amax in compiled.act_ranges.items()
-        },
         "memory_plans": [
             mplan.to_meta()
             for mplan in compiled._memory_plans.values()
@@ -174,8 +169,7 @@ def load_plan(
 
     The restored model has no source module: it never refolds, executes
     straight from the serialized folded weights, and reuses the
-    artifact's memory plans and activation ranges (so int8 works
-    without recalibration). Raises
+    artifact's memory plans. Raises
     :class:`~repro.errors.SerializationError` on missing files, wrong
     format/layout version, or a weights-digest mismatch (tampered or
     truncated npz).
@@ -218,10 +212,6 @@ def load_plan(
         ops.append(op_cls.restore(op_meta, op_arrays))
     plan = ForwardPlan(ops, int(meta["num_regs"]), int(meta["out_reg"]))
     compiled = CompiledModel.from_plan(plan)
-    compiled.act_ranges = {
-        int(reg): float(amax)
-        for reg, amax in meta.get("act_ranges", {}).items()
-    }
     for mplan_meta in meta.get("memory_plans", []):
         compiled.seed_memory_plan(MemoryPlan.from_meta(mplan_meta))
     obs_metrics.counter("model.plan.artifact_loads").increment()
@@ -262,21 +252,14 @@ def verify_plan(
     prefix: Union[str, os.PathLike],
     batch: int = 4,
     tolerance: float = 1e-5,
-    f16_budget_mm: float = 1.0,
-    int8_budget_mm: float = 5.0,
 ) -> Dict[str, Any]:
     """Standalone parity check: artifact vs the live eager model.
 
     Reconstructs the eager :class:`HandJointRegressor` from the
     artifact's embedded config (``dsp`` / ``model`` / ``seed`` /
     ``weights_path``), runs both it and the restored plan on a seeded
-    batch, and reports divergence. Quantized modes are checked against
-    their joint-mm budgets when the artifact carries calibration
-    ranges; those checks run on seeded capture-campaign segments (the
-    distribution the ranges were calibrated on -- white noise would be
-    out of distribution for the int8 fake-quant clipping).
-    ``report["passed"]`` is the overall verdict; the CLI maps it to
-    the exit code.
+    batch, and reports divergence. ``report["passed"]`` is the verdict;
+    the CLI maps it to the exit code.
     """
     from repro.config import DspConfig, ModelConfig
     from repro.core.regressor import HandJointRegressor
@@ -306,7 +289,8 @@ def verify_plan(
     attach_plan(regressor, compiled)
     loaded = regressor.predict(segments, use_compiled=True)
     max_abs_diff = float(np.max(np.abs(loaded - eager)))
-    report: Dict[str, Any] = {
+    ok = max_abs_diff <= tolerance
+    return {
         "artifact": os.fspath(prefix),
         "batch": batch,
         "ops": len(compiled.plan.ops),
@@ -314,31 +298,6 @@ def verify_plan(
         "memory_plans": len(meta.get("memory_plans", [])),
         "max_abs_diff": max_abs_diff,
         "tolerance": tolerance,
-        "float32_ok": max_abs_diff <= tolerance,
+        "float32_ok": ok,
+        "passed": ok,
     }
-    checks = [report["float32_ok"]]
-    if compiled.act_ranges:
-        from repro.perf.model_bench import calibration_segments
-
-        quant_segments = calibration_segments(
-            dsp, count=batch, seed=config.get("seed", 0)
-        )
-        quant_eager = regressor.predict(
-            quant_segments, use_compiled=False
-        )
-        quant_f32 = regressor.predict(quant_segments, use_compiled=True)
-        f16 = regressor.predict(quant_segments, precision="float16")
-        f16_mm = float(np.max(np.abs(f16 - quant_f32))) * 1000.0
-        report["float16_max_diff_mm"] = f16_mm
-        report["float16_budget_mm"] = f16_budget_mm
-        report["float16_ok"] = f16_mm <= f16_budget_mm
-        int8 = regressor.predict(quant_segments, precision="int8")
-        int8_mm = float(
-            np.mean(np.linalg.norm(int8 - quant_eager, axis=-1))
-        ) * 1000.0
-        report["int8_mean_joint_err_mm"] = int8_mm
-        report["int8_budget_mm"] = int8_budget_mm
-        report["int8_ok"] = int8_mm <= int8_budget_mm
-        checks += [report["float16_ok"], report["int8_ok"]]
-    report["passed"] = all(checks)
-    return report

@@ -8,8 +8,7 @@ reports through (the only imports are numpy and the error hierarchy):
   context propagation and exporters to JSONL and the Chrome
   ``chrome://tracing`` format;
 * :mod:`repro.obs.metrics` -- the unified
-  :class:`~repro.obs.metrics.MetricsRegistry` (promoted out of
-  ``repro.serving.metrics``, which re-exports it) with collectors,
+  :class:`~repro.obs.metrics.MetricsRegistry` with collectors,
   Prometheus text exposition and a process-global facade;
 * :mod:`repro.obs.logging` -- structured logfmt/JSON logging with rate
   limiting and span/session correlation ids;

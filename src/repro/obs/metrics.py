@@ -1,11 +1,10 @@
 """Unified metrics for every layer of the pipeline.
 
-This module is the promoted home of what used to be
-``repro.serving.metrics`` (that path remains a re-export shim): a
-deliberately small, dependency-free registry in the spirit of Prometheus
-client libraries -- counters (monotonic), gauges (set/sample), latency
-histograms with streaming percentile summaries, and a bounded
-structured event log. Everything is thread-safe.
+The pipeline-wide metrics registry: deliberately small and
+dependency-free, in the spirit of Prometheus client libraries --
+counters (monotonic), gauges (set/sample), latency histograms with
+streaming percentile summaries, and a bounded structured event log.
+Everything is thread-safe.
 
 Beyond the original serving registry it adds:
 

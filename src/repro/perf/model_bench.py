@@ -9,22 +9,14 @@ Times the joint-regression forward pass at serving batch sizes:
   (:func:`repro.nn.tensor.no_grad`), the general fallback path;
 * **compiled** -- the flat autograd-free plan from
   :mod:`repro.nn.inference` with Conv+BN folding, fused activations and
-  a static memory plan;
-* **compiled sharded** -- the compiled plan with the batch split across
-  worker threads;
-* **compiled float16 / int8** -- the quantized execution modes (int8 is
-  calibrated first on a seeded capture campaign from
-  :mod:`repro.data`).
+  a static memory plan.
 
 Every compiled timing is paired with its deviation from the eager
 output on the same inputs; the summary carries a ``within_tolerance``
-verdict for float32 and a ``quantized.within_budgets`` verdict for the
-joint-millimetre error budgets (float16 within 1 mm of the float32
-compiled output, int8 mean joint error within 5 mm of eager on the
-calibration batch) -- the perf claim and its correctness evidence live
-in the same JSON (``BENCH_model.json``). The summary also reports the
-static memory plan's footprint (``planned_bytes`` vs the legacy
-``arena_bytes``) and a top-10 per-op timing profile.
+verdict -- the perf claim and its correctness evidence live in the same
+JSON (``BENCH_model.json``). The summary also reports the static memory
+plan's footprint (``planned_bytes`` vs the unpacked ``arena_bytes``)
+and a top-10 per-op timing profile.
 """
 
 from __future__ import annotations
@@ -39,8 +31,6 @@ from repro.nn.tensor import Tensor
 from repro.perf.bench import _best_of
 
 DEFAULT_TOLERANCE = 1e-5
-FLOAT16_BUDGET_MM = 1.0
-INT8_BUDGET_MM = 5.0
 
 
 def bench_configs(smoke: bool):
@@ -58,62 +48,18 @@ def bench_configs(smoke: bool):
     return DspConfig(), ModelConfig()
 
 
-# Back-compat alias (pre-quantization name).
-_configs = bench_configs
-
-
-def calibration_segments(
-    dsp: DspConfig, count: int = 16, seed: int = 0
-) -> np.ndarray:
-    """Seeded capture-campaign segments for quantization calibration.
-
-    Runs a tiny deterministic campaign through the real simulation +
-    DSP pipeline (:mod:`repro.data`) so the recorded activation ranges
-    reflect radar-cube statistics rather than white noise. Returns raw
-    ``(count, st, V, D, A)`` segments (callers normalise).
-    """
-    from repro.config import CampaignConfig
-    from repro.data.collection import CampaignGenerator, CaptureOptions
-    from repro.hand.subjects import make_subjects
-
-    generator = CampaignGenerator(
-        dsp=dsp,
-        campaign=CampaignConfig(
-            num_users=1, segments_per_user=max(count, 1)
-        ),
-    )
-    dataset = generator.generate(
-        subjects=make_subjects(1),
-        options=CaptureOptions(environment="classroom"),
-        seed=seed,
-    )
-    return np.asarray(dataset.segments[:count], dtype=np.float32)
-
-
-def _tile_batch(segments: np.ndarray, batch: int) -> np.ndarray:
-    """First ``batch`` segments, tiling the pool if it is too small."""
-    if len(segments) >= batch:
-        return segments[:batch]
-    reps = -(-batch // len(segments))
-    return np.concatenate([segments] * reps)[:batch]
-
-
 def run_model_bench(
     smoke: bool = False,
     repeats: int = 3,
     seed: int = 0,
     batch_sizes: Optional[Sequence[int]] = None,
-    shards: int = 4,
     tolerance: float = DEFAULT_TOLERANCE,
-    calibration_count: int = 16,
 ) -> Dict[str, Any]:
     """Benchmark the compiled inference engine; returns the summary.
 
-    The summary's ``within_tolerance`` is ``False`` when any float32
-    compiled output (plain or sharded) deviates from the eager forward
-    by more than ``tolerance``; ``quantized["within_budgets"]`` is
-    ``False`` when a quantized mode exceeds its joint-mm error budget.
-    CI fails the bench job on either flag.
+    The summary's ``within_tolerance`` is ``False`` when any compiled
+    output deviates from the eager forward by more than ``tolerance``;
+    CI fails the bench job on it.
     """
     if smoke:
         repeats = 1
@@ -127,13 +73,6 @@ def run_model_bench(
     rng = np.random.default_rng(seed)
     plan = regressor.compiled()
 
-    # Calibrate int8 on a seeded campaign so the quantized rows can run
-    # (and so their accuracy is measured on in-distribution data).
-    calib = calibration_segments(dsp, count=calibration_count, seed=seed)
-    calibrated_registers = (
-        regressor.calibrate(calib) if plan is not None else 0
-    )
-
     batches: List[Dict[str, Any]] = []
     worst_diff = 0.0
     for batch in batch_sizes:
@@ -144,25 +83,11 @@ def run_model_bench(
             )
         ).astype(np.float32)
         normalized = regressor.normalize_inputs(segments)
-        quant_segments = _tile_batch(calib, batch)
 
         eager = regressor.predict(segments, use_compiled=False)
         compiled = regressor.predict(segments)
-        sharded = regressor.predict(segments, shards=shards)
         diff = float(np.abs(compiled - eager).max())
-        diff_sharded = float(np.abs(sharded - eager).max())
-        worst_diff = max(worst_diff, diff, diff_sharded)
-        # Quantized accuracy is measured on campaign segments: the
-        # calibrated ranges describe radar-cube activations, so white
-        # noise would be out of distribution for int8.
-        quant_f32 = regressor.predict(quant_segments)
-        quant_eager = regressor.predict(quant_segments, use_compiled=False)
-        f16_out = regressor.predict(quant_segments, precision="float16")
-        int8_out = regressor.predict(quant_segments, precision="int8")
-        f16_mm = float(np.abs(f16_out - quant_f32).max()) * 1e3
-        int8_mm = float(
-            np.mean(np.linalg.norm(int8_out - quant_eager, axis=-1))
-        ) * 1e3
+        worst_diff = max(worst_diff, diff)
 
         def autograd_forward() -> None:
             # Graph recording on (the parameters require grad): this is
@@ -175,19 +100,6 @@ def run_model_bench(
             repeats,
         )
         t_compiled = _best_of(lambda: regressor.predict(segments), repeats)
-        t_sharded = _best_of(
-            lambda: regressor.predict(segments, shards=shards), repeats
-        )
-        t_f16 = _best_of(
-            lambda: regressor.predict(
-                quant_segments, precision="float16"
-            ),
-            repeats,
-        )
-        t_int8 = _best_of(
-            lambda: regressor.predict(quant_segments, precision="int8"),
-            repeats,
-        )
         batches.append(
             {
                 "batch_size": int(batch),
@@ -207,53 +119,8 @@ def run_model_bench(
                     "speedup_vs_no_grad": t_no_grad / t_compiled,
                     "max_abs_diff_vs_eager": diff,
                 },
-                "compiled_sharded": {
-                    "shards": int(shards),
-                    "elapsed_s": t_sharded,
-                    "segments_per_s": batch / t_sharded,
-                    "speedup_vs_autograd": t_autograd / t_sharded,
-                    "max_abs_diff_vs_eager": diff_sharded,
-                },
-                "compiled_float16": {
-                    "elapsed_s": t_f16,
-                    "segments_per_s": batch / t_f16,
-                    "speedup_vs_autograd": t_autograd / t_f16,
-                    "max_joint_diff_mm_vs_float32": f16_mm,
-                },
-                "compiled_int8": {
-                    "elapsed_s": t_int8,
-                    "segments_per_s": batch / t_int8,
-                    "speedup_vs_autograd": t_autograd / t_int8,
-                    "mean_joint_err_mm_vs_eager": int8_mm,
-                },
             }
         )
-
-    # Accuracy gates on the calibration batch itself (the budgets the
-    # serving tier promises when running quantized).
-    quantized: Optional[Dict[str, Any]] = None
-    if plan is not None and calibrated_registers:
-        gate = _tile_batch(calib, min(len(calib), 8))
-        eager_gate = regressor.predict(gate, use_compiled=False)
-        f32_gate = regressor.predict(gate)
-        f16_gate = regressor.predict(gate, precision="float16")
-        int8_gate = regressor.predict(gate, precision="int8")
-        f16_gate_mm = float(np.abs(f16_gate - f32_gate).max()) * 1e3
-        int8_gate_mm = float(
-            np.mean(np.linalg.norm(int8_gate - eager_gate, axis=-1))
-        ) * 1e3
-        quantized = {
-            "calibration_segments": int(len(calib)),
-            "calibrated_registers": int(calibrated_registers),
-            "float16_max_diff_mm": f16_gate_mm,
-            "float16_budget_mm": FLOAT16_BUDGET_MM,
-            "int8_mean_joint_err_mm": int8_gate_mm,
-            "int8_budget_mm": INT8_BUDGET_MM,
-            "within_budgets": (
-                f16_gate_mm <= FLOAT16_BUDGET_MM
-                and int8_gate_mm <= INT8_BUDGET_MM
-            ),
-        }
 
     memory_plan: Optional[Dict[str, Any]] = None
     op_profile: List[Dict[str, Any]] = []
@@ -293,7 +160,6 @@ def run_model_bench(
         "within_tolerance": worst_diff <= tolerance,
         "plan": plan.stats() if plan is not None else None,
         "memory_plan": memory_plan,
-        "quantized": quantized,
         "op_profile": op_profile,
         "batches": batches,
     }
@@ -306,30 +172,14 @@ def print_model_report(summary: Dict[str, Any]) -> None:
         autograd = bench["eager_autograd"]
         no_grad = bench["eager_no_grad"]
         compiled = bench["compiled"]
-        sharded = bench["compiled_sharded"]
         print(
             f"model forward (B={batch}): autograd "
             f"{autograd['elapsed_s'] * 1e3:7.1f} ms | no_grad "
             f"{no_grad['elapsed_s'] * 1e3:7.1f} ms "
             f"({no_grad['speedup_vs_autograd']:.2f}x) | compiled "
             f"{compiled['elapsed_s'] * 1e3:7.1f} ms "
-            f"({compiled['speedup_vs_autograd']:.2f}x) | "
-            f"x{sharded['shards']} shards "
-            f"{sharded['elapsed_s'] * 1e3:7.1f} ms "
-            f"({sharded['speedup_vs_autograd']:.2f}x)"
+            f"({compiled['speedup_vs_autograd']:.2f}x)"
         )
-        f16 = bench.get("compiled_float16")
-        int8 = bench.get("compiled_int8")
-        if f16 is not None and int8 is not None:
-            print(
-                f"  quantized (B={batch}): float16 "
-                f"{f16['elapsed_s'] * 1e3:7.1f} ms "
-                f"({f16['speedup_vs_autograd']:.2f}x, "
-                f"{f16['max_joint_diff_mm_vs_float32']:.3f} mm) | int8 "
-                f"{int8['elapsed_s'] * 1e3:7.1f} ms "
-                f"({int8['speedup_vs_autograd']:.2f}x, "
-                f"{int8['mean_joint_err_mm_vs_eager']:.3f} mm)"
-            )
     plan = summary.get("plan")
     if plan is not None:
         print(
@@ -345,16 +195,6 @@ def print_model_report(summary: Dict[str, Any]) -> None:
             f"{memory['arena_bytes'] / 1e6:.1f} MB arena "
             f"({memory['savings_ratio'] * 100:.0f}% saved)"
         )
-    quantized = summary.get("quantized")
-    if quantized is not None:
-        print(
-            f"quantized budgets: float16 "
-            f"{quantized['float16_max_diff_mm']:.3f} mm "
-            f"(<= {quantized['float16_budget_mm']:.1f}) | int8 "
-            f"{quantized['int8_mean_joint_err_mm']:.3f} mm "
-            f"(<= {quantized['int8_budget_mm']:.1f}) | within: "
-            f"{quantized['within_budgets']}"
-        )
     profile = summary.get("op_profile") or []
     if profile:
         print("top ops:")
@@ -368,7 +208,6 @@ def print_model_report(summary: Dict[str, Any]) -> None:
 
 __all__ = [
     "bench_configs",
-    "calibration_segments",
     "print_model_report",
     "run_model_bench",
 ]

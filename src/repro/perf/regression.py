@@ -12,7 +12,7 @@ therefore checks two kinds of signal that *are* portable:
   is. A fresh ratio must stay within ``tolerance`` (relative) of the
   committed one.
 * **invariants** -- correctness booleans and zero-loss counters
-  (``within_tolerance``, ``within_budgets``, ``mask_identical``,
+  (``within_tolerance``, ``mask_identical``,
   ``lost_clean_frames == 0``). These must hold in the FRESH run
   outright; the committed value only documents that they ever held.
 
@@ -146,10 +146,6 @@ def _compare_model(
 ) -> None:
     report.invariant(
         "within_tolerance", fresh.get("within_tolerance")
-    )
-    report.invariant(
-        "quantized.within_budgets",
-        _dig(fresh, "quantized.within_budgets"),
     )
     report.invariant(
         "memory_plan.planned_lt_arena",

@@ -81,10 +81,6 @@ class MicroBatcher:
         network entirely.
     metrics:
         Optional registry receiving batch/latency/cache instruments.
-    shards:
-        Optional thread count for sharded compiled execution: each
-        fused batch is split across this many workers inside
-        ``predict`` (``None``/``0``/``1`` keeps it single-threaded).
     breaker:
         Optional :class:`CircuitBreaker` guarding the compiled plan;
         when open, batches run the eager ``no_grad`` forward instead.
@@ -106,27 +102,17 @@ class MicroBatcher:
         max_batch_size: int = 16,
         cache: Optional[SegmentCache] = None,
         metrics: Optional[MetricsRegistry] = None,
-        shards: Optional[int] = None,
         breaker: Optional[CircuitBreaker] = None,
         dead_letters: Optional[DeadLetterLog] = None,
         retry: Optional[RetryPolicy] = None,
         fault_injector: Optional[FaultInjector] = None,
-        precision: str = "float32",
     ) -> None:
         if max_batch_size < 1:
             raise ServingError("max_batch_size must be >= 1")
-        if shards is not None and shards < 0:
-            raise ServingError("shards must be >= 0")
         self.regressor = regressor
         self.max_batch_size = max_batch_size
         self.cache = cache
         self.metrics = metrics
-        self.shards = shards or None
-        # Compiled-plan execution mode; the eager fallback in the
-        # degradation ladder always runs float32 (an uncalibrated int8
-        # request raises QuantizationError, a subclass of
-        # InferenceCompileError, and degrades like a compile failure).
-        self.precision = precision
         self.breaker = breaker
         self.dead_letters = dead_letters
         self.retry = (
@@ -184,18 +170,13 @@ class MicroBatcher:
             self.fault_injector.maybe_delay_forward()
             self.fault_injector.maybe_fail_forward()
         if self.breaker is None:
-            return self.regressor.predict(
-                stacked, shards=self.shards, precision=self.precision
-            )
+            return self.regressor.predict(stacked)
         if self.breaker.allow():
             reason = None
             try:
                 if self.fault_injector is not None:
                     self.fault_injector.maybe_fail_compile()
-                out = self.regressor.predict(
-                    stacked, use_compiled=True, shards=self.shards,
-                    precision=self.precision,
-                )
+                out = self.regressor.predict(stacked, use_compiled=True)
                 if np.all(np.isfinite(out)):
                     self.breaker.record_success()
                     return out
@@ -211,9 +192,7 @@ class MicroBatcher:
                 )
         elif self.metrics is not None:
             self.metrics.counter("eager_batches").increment()
-        return self.regressor.predict(
-            stacked, use_compiled=False, shards=self.shards
-        )
+        return self.regressor.predict(stacked, use_compiled=False)
 
     # ------------------------------------------------------------------
     def run(self, requests: Sequence[SegmentRequest]) -> List[PoseResult]:

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core.regressor import HandJointRegressor
 from repro.dsp.plans import PLAN_CACHE, publish_plan_cache_metrics
-from repro.nn.inference import PRECISIONS, publish_plan_memory_metrics
+from repro.nn.inference import publish_plan_memory_metrics
 from repro.dsp.radar_cube import CubeBuilder
 from repro.errors import (
     FrameShapeError,
@@ -66,6 +66,7 @@ class ServingConfig:
     enable_cache: bool = True
     hop_frames: int = 1
     max_sessions: int = 1024
+    # Accepted for existing callers; only these values are valid.
     shard_threads: int = 0
     precision: str = "float32"
     strict_frames: bool = False
@@ -84,12 +85,10 @@ class ServingConfig:
             raise ServingError("max_sessions must be >= 1")
         if self.hop_frames < 1:
             raise ServingError("hop_frames must be >= 1")
-        if self.shard_threads < 0:
-            raise ServingError("shard_threads must be >= 0")
-        if self.precision not in PRECISIONS:
+        if self.shard_threads != 0 or self.precision != "float32":
             raise ServingError(
-                f"precision must be one of {PRECISIONS}, got "
-                f"{self.precision!r}"
+                "the compiled plan runs float32 on one thread: "
+                "shard_threads must be 0 and precision 'float32'"
             )
         if self.breaker_failure_threshold < 1:
             raise ServingError("breaker_failure_threshold must be >= 1")
@@ -153,11 +152,9 @@ class InferenceServer:
             max_batch_size=self.config.max_batch_size,
             cache=cache,
             metrics=self.metrics,
-            shards=self.config.shard_threads,
             breaker=self.breaker,
             dead_letters=self.dead_letters,
             fault_injector=fault_injector,
-            precision=self.config.precision,
         )
         self._sessions: Dict[str, Session] = {}
         # (session_id, frame_index) pairs of the most recent step()'s

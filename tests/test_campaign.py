@@ -249,15 +249,6 @@ class TestShardedDataset:
         with pytest.raises(CampaignError):
             ShardPrefetcher(exploding, [0], depth=0)
 
-    def test_sample_segments_for_calibration(self, campaign_dir):
-        dataset = ShardedDataset(str(campaign_dir))
-        sample = dataset.sample_segments(5, seed=1)
-        assert sample.shape[0] == 5
-        assert sample.shape[1:] == dataset.shard(0).segments.shape[1:]
-        np.testing.assert_array_equal(
-            sample, dataset.sample_segments(5, seed=1)
-        )
-
     def test_dsp_config_round_trip(self, campaign_dir):
         dataset = ShardedDataset(str(campaign_dir))
         assert dataset.dsp_config() == DSP

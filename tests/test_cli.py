@@ -195,17 +195,17 @@ def test_bench_rejects_bad_repeats(capsys):
     assert "--repeats" in capsys.readouterr().err
 
 
-def test_trace_wrapper_runs_bench(tmp_path, capsys):
-    """``mmhand trace bench --smoke --trace-out`` produces a span
-    summary and a Chrome-loadable trace with nested spans covering
-    radar synthesis, the DSP stages, and the model forward."""
+def test_trace_out_runs_bench(tmp_path, capsys):
+    """``mmhand bench --smoke --trace-out`` prints a span summary and
+    writes a Chrome-loadable trace with nested spans covering radar
+    synthesis, the DSP stages, and the model forward."""
     import json
 
     trace_path = tmp_path / "trace.json"
     json_path = tmp_path / "bench.json"
     assert cli.main(
         [
-            "trace", "bench", "--smoke",
+            "bench", "--smoke",
             "--json", str(json_path),
             "--model-json", str(tmp_path / "bench_model.json"),
             "--trace-out", str(trace_path),
@@ -232,11 +232,6 @@ def test_trace_wrapper_runs_bench(tmp_path, capsys):
     )
 
 
-def test_trace_wrapper_requires_command(capsys):
-    assert cli.main(["trace"]) == 1
-    assert "missing command" in capsys.readouterr().err
-
-
 def test_bench_provenance(tmp_path, capsys):
     """Every bench JSON embeds reproducibility provenance."""
     import json
@@ -255,15 +250,15 @@ def test_bench_provenance(tmp_path, capsys):
         assert provenance[key]
 
 
-def test_profile_wrapper_runs_command(tmp_path, capsys):
-    """``mmhand profile <cmd>`` runs the wrapped command under the
-    sampling profiler and writes a non-empty folded-stack profile."""
+def test_profile_out_runs_command(tmp_path, capsys):
+    """``--profile-out`` runs the command under the sampling profiler,
+    prints the hot frames and writes a non-empty folded-stack profile."""
     out_path = tmp_path / "profile.folded"
     json_path = tmp_path / "bench.json"
     assert cli.main(
         [
-            "profile", "--hz", "250", "--out", str(out_path),
             "bench", "--smoke", "--model-only",
+            "--profile-out", str(out_path), "--profile-hz", "250",
             "--json", str(json_path),
             "--model-json", str(tmp_path / "bench_model.json"),
         ]
@@ -276,13 +271,6 @@ def test_profile_wrapper_runs_command(tmp_path, capsys):
     stack, count = folded[0].rsplit(" ", 1)
     assert int(count) >= 1
     assert ";" in stack  # thread root + at least one frame
-
-
-def test_profile_wrapper_requires_command(capsys):
-    assert cli.main(["profile"]) == 1
-    assert "missing command" in capsys.readouterr().err
-    assert cli.main(["profile", "profile", "bench"]) == 1
-    assert "cannot nest" in capsys.readouterr().err
 
 
 def test_bench_compare_passes_against_self(tmp_path, capsys):

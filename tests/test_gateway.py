@@ -537,11 +537,11 @@ def test_gateway_workers_load_plan_artifact(configs, tmp_path):
     exporter = HandJointRegressor(dsp, model, seed=7)
     exporter.eval()
     rng = np.random.default_rng(0)
-    calib = rng.normal(
+    warm = rng.normal(
         size=(4, dsp.segment_frames, dsp.doppler_bins, dsp.range_bins,
               dsp.angle_bins_total)
     ).astype(np.float32)
-    exporter.calibrate(calib)
+    exporter.predict(warm)  # the artifact carries this memory plan
     prefix = str(tmp_path / "worker-plan")
     save_plan(
         exporter.compiled(), prefix,

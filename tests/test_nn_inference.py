@@ -6,7 +6,7 @@ import pytest
 from repro.core.mmspacenet import AttentionResidualBlock
 from repro.core.regressor import HandJointRegressor
 from repro.errors import InferenceCompileError
-from repro.nn.inference import BufferArena, compile_model
+from repro.nn.inference import compile_model
 from repro.nn.layers import (
     BatchNorm2d,
     Conv2d,
@@ -18,7 +18,7 @@ from repro.nn.layers import (
     ReLU,
     Sequential,
 )
-from repro.nn.optim import Adam
+from repro.nn.optim import SGD, Adam, RMSProp
 from repro.nn.tensor import Tensor
 from repro.obs import metrics as obs_metrics
 
@@ -62,18 +62,6 @@ def test_compiled_run_returns_fresh_copy(regressor, small_dsp, rng):
     first.fill(123.0)  # clobbering the caller's array must be harmless
     second = plan.run(x)
     assert np.array_equal(second, snapshot)
-
-
-def test_sharded_execution_matches_single_thread(
-    regressor, small_dsp, rng
-):
-    x = _segments(rng, small_dsp, batch=7)
-    single = regressor.predict(x)
-    sharded = regressor.predict(x, shards=3)
-    assert float(np.abs(sharded - single).max()) <= 1e-5
-    # Batches too small to split fall back to the single-arena path.
-    tiny = regressor.predict(x[:1], shards=4)
-    assert np.allclose(tiny, single[:1], atol=1e-5)
 
 
 def _conv_bn_relu(dtype, rng):
@@ -141,17 +129,37 @@ def test_attention_residual_block_compiled_matches_eager(batch, rng):
     assert float(np.abs(out - eager).max()) <= 1e-5
 
 
+def _optimizer_step(opt_cls):
+    def update(regressor, x):
+        opt = opt_cls(regressor.parameters(), lr=5e-2)
+        loss = (regressor.forward(Tensor(regressor.normalize_inputs(x)))
+                * Tensor(np.float32(1.0))).sum()
+        loss.backward()
+        opt.step()
+
+    return update
+
+
+def _scale_in_place_and_bump(regressor, x):
+    # An in-place rewrite is invisible to the plan until bump_version.
+    for param in regressor.parameters():
+        param.data *= np.float32(1.05)
+        param.bump_version()
+
+
+@pytest.mark.parametrize(
+    "update",
+    [_optimizer_step(SGD), _optimizer_step(Adam),
+     _optimizer_step(RMSProp), _scale_in_place_and_bump],
+    ids=["SGD", "Adam", "RMSProp", "bump_version"],
+)
 def test_optimizer_step_invalidates_folded_weights(
-    regressor, small_dsp, rng
+    update, regressor, small_dsp, rng
 ):
     x = _segments(rng, small_dsp, batch=2)
     plan = regressor.compiled()
     before = plan.run(x)
-    opt = Adam(regressor.parameters(), lr=5e-2)
-    loss = (regressor.forward(Tensor(regressor.normalize_inputs(x)))
-            * Tensor(np.float32(1.0))).sum()
-    loss.backward()
-    opt.step()
+    update(regressor, x)
     after = plan.run(x)
     eager_after = regressor.predict(x, use_compiled=False)
     compiled_after = regressor.predict(x)
@@ -225,18 +233,6 @@ def test_refold_counter_increments_on_weight_change(
     regressor.load_state_dict(regressor.state_dict())
     regressor.predict(x)
     assert obs_metrics.counter("model.plan.refolds").value == refolds + 1
-
-
-def test_buffer_arena_reuses_until_shape_changes():
-    arena = BufferArena()
-    a = arena.get(("op", "buf"), (4, 4), np.float32)
-    b = arena.get(("op", "buf"), (4, 4), np.float32)
-    assert a is b
-    c = arena.get(("op", "buf"), (2, 4), np.float32)
-    assert c is not a and c.shape == (2, 4)
-    d = arena.get(("op", "zero"), (3,), np.float32, zero=True)
-    assert np.all(d == 0.0)
-    assert len(arena) == 2 and arena.nbytes == c.nbytes + d.nbytes
 
 
 def test_plan_validates_input_shape(regressor, small_dsp, rng):

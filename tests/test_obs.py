@@ -10,7 +10,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.errors import ObservabilityError, ServingError
+from repro.errors import ObservabilityError
 from repro.obs import logging as obs_logging
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -310,20 +310,6 @@ def test_event_log_tracks_dropped_and_exposes_it():
     text = registry.to_prometheus()
     assert "mmhand_events_dropped_total 6" in text
     assert "mmhand_events_emitted_total 10" in text
-
-
-def test_serving_metrics_shim_reexports():
-    import importlib
-    import sys
-
-    sys.modules.pop("repro.serving.metrics", None)
-    with pytest.warns(DeprecationWarning):
-        shim = importlib.import_module("repro.serving.metrics")
-
-    assert shim.MetricsRegistry is MetricsRegistry
-    assert shim.Histogram is Histogram
-    with pytest.raises(ServingError):
-        shim.Histogram("h", capacity=0)
 
 
 def test_global_registry_facade():

@@ -268,7 +268,7 @@ class TestCircuitBreaker:
         assert breaker.state == "closed"
 
     def test_publishes_state_gauge_and_open_counter(self):
-        from repro.serving.metrics import MetricsRegistry
+        from repro.obs.metrics import MetricsRegistry
 
         registry = MetricsRegistry()
         breaker = CircuitBreaker(

@@ -578,22 +578,14 @@ def test_server_forces_eval_mode_for_deterministic_serving(stack):
         assert np.array_equal(buf, stats_before[name]), name
 
 
-def test_batcher_sharded_predict_matches_unsharded(stack):
-    builder, regressor = stack
-    requests = [_request("s", i, seed=i) for i in range(6)]
-    plain = MicroBatcher(regressor, max_batch_size=8).run(requests)
-    sharded = MicroBatcher(
-        regressor, max_batch_size=8, shards=3
-    ).run(requests)
-    for a, b in zip(plain, sharded):
-        assert np.allclose(a.joints, b.joints, atol=1e-5)
-    with pytest.raises(ServingError):
-        MicroBatcher(regressor, shards=-1)
-
-
 def test_serving_config_validates_shard_threads():
-    with pytest.raises(ServingError):
-        ServingConfig(shard_threads=-1)
+    # The fields survive for existing callers; only the single compiled
+    # execution mode (float32, one thread) is accepted.
+    ServingConfig(shard_threads=0, precision="float32")
+    for bad in ({"shard_threads": -1}, {"shard_threads": 2},
+                {"precision": "int8"}, {"precision": "float16"}):
+        with pytest.raises(ServingError):
+            ServingConfig(**bad)
 
 
 def test_queue_drop_oldest_emits_counter_and_event():

@@ -1,10 +1,9 @@
-"""Satellite coverage for the serving tier's accounting contracts:
-the deprecated ``repro.serving.metrics`` shim must re-export the
-unified registry (with a DeprecationWarning), and ``RequestQueue``
-loss counters must exactly match observed losses under concurrent
-multi-producer load."""
+"""Accounting contracts of the serving tier: the metrics registry has
+one import path, and ``RequestQueue`` loss counters must exactly match
+observed losses under concurrent multi-producer load."""
 
 import importlib
+import importlib.util
 import sys
 import threading
 
@@ -16,35 +15,17 @@ from repro.obs.metrics import MetricsRegistry
 from repro.serving import RequestQueue, SegmentRequest
 
 
-# ----------------------------------------------------------------------
-# repro.serving.metrics deprecation shim
-# ----------------------------------------------------------------------
-
-
-def test_serving_metrics_shim_warns_and_reexports():
-    sys.modules.pop("repro.serving.metrics", None)
-    with pytest.warns(DeprecationWarning, match="repro.obs.metrics"):
-        shim = importlib.import_module("repro.serving.metrics")
-    obs = importlib.import_module("repro.obs.metrics")
-    # Same objects, not parallel copies: isinstance checks and registry
-    # identity keep working across old and new import paths.
-    for name in ("Counter", "EventLog", "Gauge", "Histogram",
-                 "MetricsRegistry"):
-        assert getattr(shim, name) is getattr(obs, name), name
-    assert set(shim.__all__) == {
-        "Counter", "EventLog", "Gauge", "Histogram", "MetricsRegistry"
-    }
-
-
 def test_serving_package_import_does_not_warn(recwarn):
-    """The repo itself no longer imports the deprecated path."""
+    """The registry lives only in ``repro.obs.metrics``; importing the
+    serving stack raises no deprecation warning."""
+    assert importlib.util.find_spec("repro.serving.metrics") is None
     for module in ("repro.serving", "repro.gateway", "repro.cli"):
         sys.modules.pop(module, None)
         importlib.import_module(module)
     assert not [
         w for w in recwarn.list
         if issubclass(w.category, DeprecationWarning)
-        and "repro.serving.metrics" in str(w.message)
+        and "repro." in str(w.message)
     ]
 
 

@@ -29,10 +29,16 @@ control plane:
   batch-wait / forward / pose-return) aggregates into per-stage
   histograms surfaced by ``stats()["stage_latency"]`` and Prometheus.
 
-The dispatcher itself is single-threaded and polling-based: callers
-interleave ``submit``/``submit_cube`` with ``pump()`` exactly like the
-in-process :class:`~repro.serving.InferenceServer`'s ``submit``/
-``step`` loop.
+The dispatcher itself is single-threaded: callers interleave
+``submit``/``submit_cube`` with ``pump()`` exactly like the in-process
+:class:`~repro.serving.InferenceServer`'s ``submit``/``step`` loop.
+Nothing polls on a timer. Each worker slot owns a request doorbell and
+the pool shares one response doorbell (eventfds, see
+:mod:`repro.gateway.ring`); a caller with nothing to do parks on
+:attr:`Gateway.response_doorbell` for at most
+:attr:`Gateway.heartbeat_interval_s` and then calls ``pump()``, as
+:meth:`Gateway.drain` and the netfront pump loop do. Workers are
+forked, which is how they inherit the doorbells.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import os
+import select
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field, replace
@@ -67,7 +74,10 @@ from repro.gateway.ring import (
     KIND_UNSERVED,
     SLOT_HEADER_BYTES,
     ShmRing,
+    drain_doorbell,
     encode_session_id,
+    make_doorbell,
+    ring_doorbell,
 )
 from repro.gateway.worker import WorkerConfig, worker_main
 from repro.obs import trace as obs_trace
@@ -82,14 +92,17 @@ _gateway_counter = itertools.count()
 
 @dataclass
 class GatewayConfig:
-    """Tunables of the multi-process serving tier."""
+    """Tunables of the multi-process serving tier.
+
+    Workers are always forked (they inherit the doorbell eventfds that
+    way), so the gateway runs where ``fork`` exists: Linux.
+    """
 
     workers: int = 2
     ring_slots: int = 64
     slot_bytes: int = 0  # 0: sized automatically from the radar/dsp shapes
     heartbeat_timeout_s: float = 5.0
     max_restarts: int = 8
-    start_method: str = "fork"  # "fork" (fast) or "spawn" (portable)
     serving: ServingConfig = field(default_factory=ServingConfig)
     seed: int = 0
     weights_path: Optional[str] = None
@@ -115,10 +128,6 @@ class GatewayConfig:
             raise GatewayError("heartbeat_timeout_s must be positive")
         if self.max_restarts < 0:
             raise GatewayError("max_restarts must be >= 0")
-        if self.start_method not in ("fork", "spawn", "forkserver"):
-            raise GatewayError(
-                f"unknown start_method {self.start_method!r}"
-            )
 
 
 @dataclass
@@ -148,8 +157,13 @@ class _WorkerHandle:
         self.process: Optional[multiprocessing.Process] = None
         self.request_ring: Optional[ShmRing] = None
         self.response_ring: Optional[ShmRing] = None
+        # Rung after every push to request_ring; kept across restarts.
+        self.doorbell: Optional[int] = None
         self.conn = None
         self.sessions: set = set()
+        # Closes not yet pushed because the request ring was full;
+        # every pump retries them in order.
+        self.pending_closes: Deque[str] = deque()
         # (session_id, frame_id) -> _InFlight, insertion-ordered so a
         # crash replay preserves per-session frame order.
         self.inflight: "OrderedDict[Tuple[str, int], _InFlight]" = (
@@ -180,7 +194,7 @@ class Gateway:
         self.dsp = dsp if dsp is not None else DspConfig()
         self.model = model if model is not None else ModelConfig()
         self.config = config if config is not None else GatewayConfig()
-        self._ctx = multiprocessing.get_context(self.config.start_method)
+        self._ctx = multiprocessing.get_context("fork")
         self._id = f"gw{next(_gateway_counter)}"
         self.metrics = MetricsRegistry()
         self.metrics.register_collector(self._publish_gauges)
@@ -199,10 +213,16 @@ class Gateway:
         ]
         self._heartbeat_shm: Optional[shared_memory.SharedMemory] = None
         self._heartbeat: Optional[np.ndarray] = None
+        self._response_doorbell: Optional[int] = None
+        # Registry of live sessions; a closed one is forgotten once it
+        # is settled (see _forget_if_settled), so it stays bounded.
         self._sessions: Dict[str, int] = {}  # session id -> worker index
         self._closed_sessions: set = set()
         self._frame_ids: Dict[str, int] = {}
         self._session_counter = itertools.count()
+        # Poses collected by a pump made inside submit, handed out by
+        # the caller's next pump().
+        self._held: List[PoseResult] = []
         self._started = False
         self._slot_bytes = self._resolve_slot_bytes()
 
@@ -242,6 +262,9 @@ class Gateway:
         # jump on the wall clock must never mass-expire heartbeats and
         # kill a healthy pool. Wall time appears only in logs/traces.
         self._heartbeat[:] = time.monotonic()
+        self._response_doorbell = make_doorbell()
+        for handle in self._workers:
+            handle.doorbell = make_doorbell()
         for handle in self._workers:
             self._launch(handle)
         self._started = True
@@ -258,6 +281,18 @@ class Gateway:
             if all(handle.recovered for handle in self._workers):
                 return
             time.sleep(0.005)
+
+    @property
+    def response_doorbell(self) -> Optional[int]:
+        """Eventfd that turns readable when any worker pushed a
+        response; ``pump()`` silences it before draining the rings."""
+        return self._response_doorbell
+
+    @property
+    def heartbeat_interval_s(self) -> float:
+        """Worker beat period: the longest anyone parks on a doorbell,
+        so liveness checks keep running on an idle pool."""
+        return WorkerConfig.heartbeat_interval_s
 
     def __enter__(self) -> "Gateway":
         return self.start()
@@ -297,6 +332,8 @@ class Gateway:
                 request_ring.name,
                 response_ring.name,
                 self._heartbeat_shm.name,
+                handle.doorbell,
+                self._response_doorbell,
                 child_conn,
                 self._worker_config(),
             ),
@@ -398,6 +435,14 @@ class Gateway:
             except FileNotFoundError:  # pragma: no cover
                 pass
             self._heartbeat_shm = None
+        for fd in [self._response_doorbell] + [
+            handle.doorbell for handle in self._workers
+        ]:
+            if fd is not None:
+                os.close(fd)
+        self._response_doorbell = None
+        for handle in self._workers:
+            handle.doorbell = None
         self._started = False
 
     def _teardown_worker_ipc(self, handle: _WorkerHandle) -> None:
@@ -435,13 +480,17 @@ class Gateway:
         if session_id in self._closed_sessions:
             return
         self._closed_sessions.add(session_id)
-        if handle.request_ring is not None:
-            if not handle.request_ring.push(KIND_CLOSE, session_id, 0):
-                self.pump()
-                handle = self._handle_for(session_id)
-                if handle.request_ring is not None:
-                    handle.request_ring.push(KIND_CLOSE, session_id, 0)
+        handle.pending_closes.append(session_id)
+        self._push_closes(handle)
         self.metrics.counter("gateway.sessions_closed").increment()
+
+    def _push_closes(self, handle: _WorkerHandle) -> None:
+        """Push the worker's queued closes in order; whatever a full
+        ring refuses waits for the next pump."""
+        while handle.pending_closes and self._push(
+            handle, KIND_CLOSE, handle.pending_closes[0], 0
+        ):
+            handle.pending_closes.popleft()
 
     def session_to_worker(self) -> Dict[str, int]:
         """Sticky session->worker assignment (for tests/operators)."""
@@ -455,6 +504,24 @@ class Gateway:
             )
         return self._workers[index]
 
+    def _forget_if_settled(
+        self, handle: _WorkerHandle, session_id: str
+    ) -> None:
+        """Drop a closed session from the registry once its worker
+        confirmed the close and none of its frames is in flight or
+        awaiting a pose -- nothing can refer to it any more."""
+        if (
+            session_id not in self._closed_sessions
+            or session_id in handle.sessions
+        ):
+            return
+        for key in itertools.chain(handle.inflight, handle.awaiting_pose):
+            if key[0] == session_id:
+                return
+        self._sessions.pop(session_id, None)
+        self._closed_sessions.discard(session_id)
+        self._frame_ids.pop(session_id, None)
+
     def _require_started(self) -> None:
         if not self._started:
             raise GatewayError(
@@ -462,6 +529,23 @@ class Gateway:
             )
 
     # -- data path ------------------------------------------------------
+    def _push(
+        self, handle: _WorkerHandle, kind: int, session_id: str,
+        frame_id: int, payload: Optional[np.ndarray] = None,
+        trace_id: int = 0, parent_span_id: int = 0,
+    ) -> bool:
+        """Push to a worker's request ring, then ring its doorbell;
+        ``False`` if the ring is full or the worker is mid-restart."""
+        ring = handle.request_ring
+        if ring is None or not ring.push(
+            kind, session_id, frame_id, payload,
+            trace_id=trace_id, parent_span_id=parent_span_id,
+            enqueue_ts=time.monotonic(),
+        ):
+            return False
+        ring_doorbell(handle.doorbell)
+        return True
+
     def submit(self, session_id: str, raw_frame: np.ndarray) -> bool:
         """Forward one raw IF frame to the session's worker."""
         return self._forward(session_id, KIND_FRAME_RAW, raw_frame)
@@ -492,22 +576,18 @@ class Gateway:
         ) as span:
             trace_id = span.trace_id if span is not None else 0
             parent_span_id = span.span_id if span is not None else 0
-            if handle.request_ring is None or not handle.request_ring.push(
-                kind, session_id, frame_id, frame,
-                trace_id=trace_id, parent_span_id=parent_span_id,
-                enqueue_ts=time.time(),
+            if not self._push(
+                handle, kind, session_id, frame_id, frame,
+                trace_id, parent_span_id,
             ):
                 # Ring full (or the worker is mid-restart): give the
                 # pool one pump to drain, then apply explicit
                 # backpressure.
-                self.pump()
+                self._held = self.pump()  # includes what _held had
                 handle = self._handle_for(session_id)
-                if handle.request_ring is None or not (
-                    handle.request_ring.push(
-                        kind, session_id, frame_id, frame,
-                        trace_id=trace_id, parent_span_id=parent_span_id,
-                        enqueue_ts=time.time(),
-                    )
+                if not self._push(
+                    handle, kind, session_id, frame_id, frame,
+                    trace_id, parent_span_id,
                 ):
                     self.metrics.counter(
                         "gateway.ring_rejects"
@@ -534,13 +614,18 @@ class Gateway:
         """Drain every worker's response ring; detect/recover crashes.
 
         Returns the poses that arrived during this pump, in arrival
-        order. Call it frequently -- it is the gateway's event loop
-        tick.
+        order. It is the gateway's event loop tick: call it whenever
+        :attr:`response_doorbell` turns readable, and at least once per
+        :attr:`heartbeat_interval_s` so crashes are noticed.
         """
         self._require_started()
-        results: List[PoseResult] = []
+        # Silence the doorbell before draining: a response pushed after
+        # this rings again, so the caller's next park cannot miss it.
+        drain_doorbell(self._response_doorbell)
+        results, self._held = self._held, []
         for handle in self._workers:
             results.extend(self._drain_worker(handle))
+            self._push_closes(handle)
         if check_liveness:
             for handle in self._workers:
                 if self._worker_is_dead(handle):
@@ -566,7 +651,8 @@ class Gateway:
             message = ring.pop()
             if message is None:
                 break
-            key = (message.session_id, message.frame_id)
+            sid = message.session_id
+            key = (sid, message.frame_id)
             if message.kind == KIND_ACK:
                 entry = handle.inflight.pop(key, None)
                 self.metrics.counter("gateway.acks").increment()
@@ -601,18 +687,19 @@ class Gateway:
                 )
                 if message.enqueue_ts > 0:
                     # Pose-return stage: time the answer sat on the
-                    # response ring before this pump collected it.
-                    returned_at = time.time()
+                    # response ring before this pump collected it (the
+                    # worker stamped it on the same monotonic clock).
+                    returned_at = time.monotonic()
                     self.metrics.histogram(
                         "gateway.stage.pose_return_s"
                     ).observe(max(0.0, returned_at - message.enqueue_ts))
                     if message.trace_id:
                         self._tracer.record(
                             "gateway.pose_return",
-                            self._tracer.rel_from_unix(
+                            self._tracer.rel_from_monotonic(
                                 message.enqueue_ts
                             ),
-                            self._tracer.rel_from_unix(returned_at),
+                            self._tracer.rel_from_monotonic(returned_at),
                             trace_id=message.trace_id,
                             parent_id=message.parent_span_id or None,
                             correlation_id=results[-1].corr_id,
@@ -632,7 +719,13 @@ class Gateway:
                 )
                 self.metrics.counter("gateway.unserved").increment()
             elif message.kind == KIND_CLOSED:
-                handle.sessions.discard(message.session_id)
+                handle.sessions.discard(sid)
+            self._forget_if_settled(handle, sid)
+        else:
+            # Budget spent with messages possibly left: re-ring so the
+            # caller's next park returns at once instead of a heartbeat
+            # later.
+            ring_doorbell(self._response_doorbell)
         return results
 
     # -- crash recovery -------------------------------------------------
@@ -678,8 +771,28 @@ class Gateway:
                 "gateway.crash_dead_letters"
             ).increment()
         handle.awaiting_pose.clear()
-        replay = list(handle.inflight.values())
+        replay = []
+        for entry in handle.inflight.values():
+            if entry.session_id in self._closed_sessions:
+                # Closed before the crash: nobody waits for the frame,
+                # and the fresh worker will never see the session.
+                self.dead_letters.record(
+                    session_id=entry.session_id,
+                    frame_index=entry.frame_id,
+                    stage="worker-crash",
+                    reason=f"worker {handle.index} died (exit "
+                           f"{exitcode}) after the session closed",
+                    corr_id=f"{entry.session_id}#{entry.frame_id}",
+                )
+            else:
+                replay.append(entry)
         handle.inflight.clear()
+        # The dead worker can no longer confirm pending closes, and
+        # its replacement never sees those sessions.
+        handle.pending_closes.clear()
+        for sid in handle.sessions & self._closed_sessions:
+            handle.sessions.discard(sid)
+            self._forget_if_settled(handle, sid)
 
         if handle.process is not None:
             handle.process.join(0.1)
@@ -706,16 +819,12 @@ class Gateway:
         # Replay unacked frames in original order into the fresh worker
         # (its windows restart empty; the frames are re-acked normally).
         for entry in replay:
-            if entry.session_id in self._closed_sessions:
-                continue
             # Replays re-propagate the frame's original trace context:
             # the restarted worker's spans stay parented to the submit
             # span that first forwarded the frame.
-            if handle.request_ring.push(
-                entry.kind, entry.session_id, entry.frame_id,
-                entry.payload, trace_id=entry.trace_id,
-                parent_span_id=entry.parent_span_id,
-                enqueue_ts=time.time(),
+            if self._push(
+                handle, entry.kind, entry.session_id, entry.frame_id,
+                entry.payload, entry.trace_id, entry.parent_span_id,
             ):
                 handle.inflight[
                     (entry.session_id, entry.frame_id)
@@ -736,17 +845,21 @@ class Gateway:
 
     # -- draining -------------------------------------------------------
     def drain(self, timeout_s: float = 30.0) -> List[PoseResult]:
-        """Pump until no frame is in flight (or the deadline passes)."""
+        """Pump until no frame is in flight (or the deadline passes),
+        parking on the response doorbell between pumps."""
         deadline = time.monotonic() + timeout_s
         results: List[PoseResult] = []
-        while time.monotonic() < deadline:
+        while True:
             results.extend(self.pump())
-            if not any(
-                handle.inflight or handle.awaiting_pose
-                for handle in self._workers
-            ):
+            if not self.outstanding():
                 return results
-            time.sleep(0.0005)
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                break
+            select.select(
+                [self._response_doorbell], [], [],
+                min(remaining, self.heartbeat_interval_s),
+            )
         raise GatewayError(
             f"drain timed out after {timeout_s:.1f}s with "
             f"{sum(len(h.inflight) for h in self._workers)} unacked and "
@@ -934,9 +1047,9 @@ class Gateway:
                     "health": handle.last_stats.get("health"),
                     "counters": handle.last_stats.get("counters", {}),
                 }
-                entry["plan_artifact"] = handle.last_stats.get(
-                    "worker", {}
-                ).get("plan_artifact")
+                worker = handle.last_stats.get("worker", {})
+                entry["plan_artifact"] = worker.get("plan_artifact")
+                entry["blas_threads"] = worker.get("blas_threads")
             snapshot["workers"][handle.index] = entry
         return snapshot
 

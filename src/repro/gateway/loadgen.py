@@ -263,9 +263,10 @@ def run_gateway_bench(
     seed: int = 0,
     sessions: Optional[int] = None,
     frames_per_session: Optional[int] = None,
-    start_method: str = "fork",
 ) -> Dict[str, Any]:
-    """Sweep worker counts and summarise scaling for BENCH_serving.json."""
+    """Sweep worker counts and summarise scaling for BENCH_serving.json.
+
+    The gateway forks its workers, so this runs on Linux only."""
     radar, dsp, model = bench_configs()
     if smoke:
         worker_counts = tuple(worker_counts) or (2,)
@@ -292,7 +293,6 @@ def run_gateway_bench(
                     policy="block",
                 ),
                 seed=seed,
-                start_method=start_method,
             ),
         )
         loadgen = LoadgenConfig(

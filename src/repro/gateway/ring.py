@@ -29,10 +29,18 @@ consumer only reads a slot after observing ``head > tail`` and verifies
 C-level ``memcpy``; combined with the interpreter overhead separating
 the payload store from the cursor store this is sound on mainstream
 (x86/ARM) hosts without needing explicit fences.
+
+A ring carries no wakeup of its own. Each consumer parks on a
+*doorbell* -- a non-blocking ``eventfd`` that the producer rings after
+every push (:func:`ring_doorbell`). The consumer drains the doorbell
+*before* it pops (:func:`drain_doorbell`): a push that lands after the
+drain rings again, so a consumer that finds the ring empty and parks
+on the doorbell can never miss it.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from multiprocessing import shared_memory
@@ -44,8 +52,8 @@ from repro.errors import GatewayError, RingLayoutError
 
 _MAGIC = 0x6D6D5247  # "mmRG"
 # v2: the header carries distributed-trace context (trace_id,
-# parent_span_id, enqueue wall-clock timestamp) in its trailing 24
-# bytes, filling the 128-byte header exactly.
+# parent_span_id, enqueue timestamp) in its trailing 24 bytes, filling
+# the 128-byte header exactly.
 _VERSION = 2
 
 _CONTROL_FMT = struct.Struct("<IIQQ")  # magic, version, slots, slot_bytes
@@ -56,7 +64,7 @@ _CURSOR = struct.Struct("<Q")
 
 # seq, kind, flags, frame_id, payload_bytes, dtype code, ndim,
 # shape (8 x u32), session id (utf-8, zero padded),
-# trace_id, parent_span_id, enqueue_ts (unix seconds; 0 = unset)
+# trace_id, parent_span_id, enqueue_ts (time.monotonic(); 0 = unset)
 _SLOT_HEADER_FMT = struct.Struct("<QIIQQII8I32sQQd")
 SLOT_HEADER_BYTES = 128
 assert _SLOT_HEADER_FMT.size <= SLOT_HEADER_BYTES
@@ -108,6 +116,25 @@ def encode_session_id(session_id: str) -> bytes:
     return raw
 
 
+def make_doorbell() -> int:
+    """A fresh doorbell: a non-blocking eventfd that forked children
+    inherit (close-on-exec only drops it across ``exec``)."""
+    return os.eventfd(0, os.EFD_NONBLOCK | os.EFD_CLOEXEC)
+
+
+def ring_doorbell(fd: int) -> None:
+    """Wake whoever is parked on ``fd`` (call after the push)."""
+    os.eventfd_write(fd, 1)
+
+
+def drain_doorbell(fd: int) -> None:
+    """Reset ``fd`` to silent (call before popping the ring)."""
+    try:
+        os.eventfd_read(fd)
+    except BlockingIOError:
+        pass
+
+
 @dataclass
 class RingMessage:
     """One decoded ring slot: the header fields plus the payload.
@@ -118,8 +145,10 @@ class RingMessage:
 
     ``trace_id``/``parent_span_id`` carry the producer's trace context
     across the process boundary (0 = no context) and ``enqueue_ts`` is
-    the wall-clock instant of the push, letting the consumer measure
-    ring-wait time without any extra round trip.
+    the ``time.monotonic()`` instant of the push, letting the consumer
+    measure ring-wait time without any extra round trip
+    (``CLOCK_MONOTONIC`` is system-wide, so both processes read the
+    same clock, and a wall-clock step cannot skew the difference).
     """
 
     kind: int

@@ -14,7 +14,14 @@ an unmodified :class:`~repro.serving.InferenceServer`) and loops:
   enqueued / quarantined), and ship each regressed pose back with the
   dispatcher's frame id,
 * bump a heartbeat slot and answer control-pipe requests (stats
-  snapshots, shutdown).
+  snapshots, shutdown),
+* park, when there is nothing to do, in ``select`` on its request
+  doorbell and control pipe, waking at least once per heartbeat period.
+
+A worker is forked from the dispatcher and inherits its doorbell
+eventfds that way. It runs OpenBLAS on one thread: processes are the
+unit of parallelism, and a BLAS pool per worker would oversubscribe
+the cores the pool shares.
 
 The control pipe carries only small picklable metadata (stats dicts,
 shutdown commands); array payloads move exclusively through the rings.
@@ -34,7 +41,10 @@ metadata-only. An optional sampling profiler
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import os
+import select
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
@@ -54,6 +64,8 @@ from repro.gateway.ring import (
     KIND_POSE,
     KIND_UNSERVED,
     ShmRing,
+    drain_doorbell,
+    ring_doorbell,
 )
 from repro.obs import trace as obs_trace
 from repro.obs.profiler import SamplingProfiler
@@ -77,7 +89,6 @@ class WorkerConfig:
     weights_path: Optional[str] = None
     plan_path: Optional[str] = None
     heartbeat_interval_s: float = 0.05
-    idle_sleep_s: float = 0.0005
     # Sampling profiler rate inside the worker (0 = disabled); the
     # profile ships back with stats replies and the final bye.
     profile_hz: float = 0.0
@@ -164,29 +175,58 @@ def _build_server(config: WorkerConfig):
     )
 
 
+def limit_blas_threads() -> Optional[int]:
+    """Pin numpy's bundled OpenBLAS to one thread; return its count.
+
+    Environment variables are read when numpy loads, which in a forked
+    worker already happened in the dispatcher, so the count is set
+    through the library's own entry point. ``None`` when numpy carries
+    no such OpenBLAS build.
+    """
+    import numpy
+
+    libs = os.path.join(
+        os.path.dirname(os.path.dirname(numpy.__file__)), "numpy.libs"
+    )
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        setter = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        getter = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        if setter is None or getter is None:
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        setter(1)
+        return int(getter())
+    return None
+
+
 def _push_blocking(
-    ring: ShmRing, kind, session_id, frame_id, payload=None, flags=0,
-    deadline_s: float = 5.0, trace_id: int = 0, parent_span_id: int = 0,
+    ring: ShmRing, doorbell: int, kind, session_id, frame_id,
+    payload=None, flags=0, deadline_s: float = 5.0, trace_id: int = 0,
+    parent_span_id: int = 0,
 ) -> bool:
-    """Push a response, briefly yielding while the dispatcher drains.
+    """Push a response and ring the dispatcher's doorbell, briefly
+    yielding while the dispatcher drains a full ring.
 
     Gives up (dropping the message) after ``deadline_s`` so a dead
     dispatcher cannot wedge the worker; the dispatcher notices the gap
     through its in-flight accounting. Responses are stamped with a
-    fresh ``enqueue_ts`` so the dispatcher can measure response-ring
-    wait (the pose-return stage), and echo the frame's original trace
-    context so the dispatcher can finish the frame's trace without
-    remembering it.
+    fresh monotonic ``enqueue_ts`` so the dispatcher can measure
+    response-ring wait (the pose-return stage), and echo the frame's
+    original trace context so the dispatcher can finish the frame's
+    trace without remembering it.
     """
     deadline = time.perf_counter() + deadline_s
     while not ring.push(
         kind, session_id, frame_id, payload, flags,
         trace_id=trace_id, parent_span_id=parent_span_id,
-        enqueue_ts=time.time(),
+        enqueue_ts=time.monotonic(),
     ):
         if time.perf_counter() >= deadline:
             return False
         time.sleep(0.0002)
+    ring_doorbell(doorbell)
     return True
 
 
@@ -195,10 +235,19 @@ def worker_main(
     request_ring_name: str,
     response_ring_name: str,
     heartbeat_name: str,
+    request_doorbell: int,
+    response_doorbell: int,
     conn,
     config: WorkerConfig,
 ) -> None:
-    """Entry point run inside each gateway worker process."""
+    """Entry point run inside each gateway worker process.
+
+    ``request_doorbell`` rings when the dispatcher pushed to this
+    worker's request ring; ``response_doorbell`` (shared by the pool)
+    is rung after every push to the response ring. Both are eventfds
+    inherited over fork.
+    """
+    blas_threads = limit_blas_threads()
     request_ring = ShmRing.attach(request_ring_name)
     response_ring = ShmRing.attach(response_ring_name)
     heartbeat_shm = None
@@ -283,7 +332,8 @@ def worker_main(
                     batch_wait_s=max(0.0, step_start - ctx[2]),
                 )
             _push_blocking(
-                response_ring, KIND_POSE, result.session_id, frame_id,
+                response_ring, response_doorbell, KIND_POSE,
+                result.session_id, frame_id,
                 np.ascontiguousarray(result.joints),
                 trace_id=ctx[0] if ctx else 0,
                 parent_span_id=ctx[1] if ctx else 0,
@@ -293,25 +343,34 @@ def worker_main(
             frame_id = pose_ids.pop(key, frame_index)
             ctx = pending_ctx.pop(key, None)
             _push_blocking(
-                response_ring, KIND_UNSERVED, session_id, frame_id,
+                response_ring, response_doorbell, KIND_UNSERVED,
+                session_id, frame_id,
                 trace_id=ctx[0] if ctx else 0,
                 parent_span_id=ctx[1] if ctx else 0,
             )
 
     beat()
     while running:
-        progress = False
+        # Wake protocol: silence the doorbell, then pop. A push that
+        # lands after the drain rings again, so parking below on an
+        # empty ring cannot miss it.
+        drain_doorbell(request_doorbell)
         message = request_ring.pop()
         if message is not None:
-            progress = True
             sid = message.session_id
             if message.kind == KIND_CLOSE:
                 if sid in opened:
+                    # Closing purges the session's queued windows, whose
+                    # frames were acked as enqueued: serve them first so
+                    # every such ack still gets its pose.
+                    if len(server.queue) > 0:
+                        flush_results()
                     server.close_session(sid)
                     opened.pop(sid, None)
                     local_index.pop(sid, None)
                 _push_blocking(
-                    response_ring, KIND_CLOSED, sid, message.frame_id
+                    response_ring, response_doorbell, KIND_CLOSED, sid,
+                    message.frame_id,
                 )
             elif message.kind in (KIND_FRAME_RAW, KIND_FRAME_CUBE):
                 if sid not in opened:
@@ -323,9 +382,10 @@ def worker_main(
                 # dispatcher frame id attached.
                 if len(server.queue) >= serving.max_batch_size:
                     flush_results()
-                # Stage ledger: ring-wait is dequeue wall time minus the
-                # dispatcher's enqueue stamp in the slot header.
-                dequeued_at = time.time()
+                # Stage ledger: ring-wait is the dequeue instant minus
+                # the dispatcher's enqueue stamp in the slot header,
+                # both on the system-wide monotonic clock.
+                dequeued_at = time.monotonic()
                 if message.enqueue_ts > 0:
                     ring_wait = max(0.0, dequeued_at - message.enqueue_ts)
                     server.metrics.histogram(
@@ -334,8 +394,8 @@ def worker_main(
                     if message.trace_id:
                         tracer.record(
                             "gateway.ring_wait",
-                            tracer.rel_from_unix(message.enqueue_ts),
-                            tracer.rel_from_unix(dequeued_at),
+                            tracer.rel_from_monotonic(message.enqueue_ts),
+                            tracer.rel_from_monotonic(dequeued_at),
                             trace_id=message.trace_id,
                             parent_id=message.parent_span_id or None,
                             frame_id=message.frame_id,
@@ -376,15 +436,23 @@ def worker_main(
                     else:
                         flag = ACK_WINDOW
                 _push_blocking(
-                    response_ring, KIND_ACK, sid, message.frame_id,
-                    flags=flag, trace_id=message.trace_id,
+                    response_ring, response_doorbell, KIND_ACK, sid,
+                    message.frame_id, flags=flag,
+                    trace_id=message.trace_id,
                     parent_span_id=message.parent_span_id,
                 )
-        if len(server.queue) >= serving.max_batch_size or (
-            message is None and len(server.queue) > 0
-        ):
+        if len(server.queue) >= serving.max_batch_size:
             flush_results()
-            progress = True
+        elif message is None:
+            if len(server.queue) > 0:
+                flush_results()
+            else:
+                # Idle: park until the dispatcher rings, the control
+                # pipe speaks, or the next heartbeat is due.
+                select.select(
+                    [request_doorbell, conn], [], [],
+                    config.heartbeat_interval_s,
+                )
 
         beat()
         # Control pipe: stats requests and shutdown. Never blocks.
@@ -404,6 +472,7 @@ def worker_main(
                     "request_ring": request_ring.stats(),
                     "response_ring": response_ring.stats(),
                     "plan_artifact": config.plan_path,
+                    "blas_threads": blas_threads,
                 }
                 stats.update(obs_payload())
                 try:
@@ -414,8 +483,6 @@ def worker_main(
             # The dispatcher died and we were re-parented to init;
             # there is nobody left to serve.
             running = False
-        if not progress and running:
-            time.sleep(config.idle_sleep_s)
 
     # Drain what is already queued so acked frames get answered even on
     # a graceful shutdown.

@@ -35,7 +35,9 @@ connection that owns the session. The design rule throughout is that
   frame is acked or dead-lettered.
 
 All internal deadlines use ``time.monotonic``; wall-clock time appears
-only in logs.
+only in logs. Nothing polls on a timer: the pump loop parks until the
+gateway's response doorbell turns readable or one heartbeat period
+passes, whichever comes first.
 """
 
 from __future__ import annotations
@@ -123,7 +125,6 @@ class NetFrontConfig:
     outbound_queue: int = 64
     max_payload_bytes: int = DEFAULT_MAX_PAYLOAD
     reaper_interval_s: float = 0.25
-    pump_interval_s: float = 0.001
     drain_timeout_s: float = 30.0
 
     def __post_init__(self) -> None:
@@ -131,8 +132,7 @@ class NetFrontConfig:
             raise NetFrontError("outbound_queue must be >= 1")
         for name in (
             "handshake_timeout_s", "idle_timeout_s", "write_timeout_s",
-            "submit_deadline_s", "reaper_interval_s", "pump_interval_s",
-            "drain_timeout_s",
+            "submit_deadline_s", "reaper_interval_s", "drain_timeout_s",
         ):
             if getattr(self, name) <= 0:
                 raise NetFrontError(f"{name} must be > 0")
@@ -212,10 +212,10 @@ class NetFrontServer:
     ``backend`` is normally a started-or-not
     :class:`~repro.gateway.Gateway`; anything exposing the same
     ``open_session`` / ``close_session`` / ``submit`` / ``submit_cube``
-    / ``pump`` / ``outstanding`` / ``health`` / ``dead_letters`` /
-    ``metrics`` surface works (tests substitute lighter fakes). All
-    backend calls happen on the server's event loop, matching the
-    dispatcher's single-threaded contract.
+    / ``pump`` / ``outstanding`` / ``response_doorbell`` /
+    ``heartbeat_interval_s`` / ``health`` / ``dead_letters`` /
+    ``metrics`` surface works. All backend calls happen on the server's
+    event loop, matching the dispatcher's single-threaded contract.
     """
 
     def __init__(
@@ -240,6 +240,8 @@ class NetFrontServer:
         self._session_conn: Dict[str, _Connection] = {}
         self._tasks: List[asyncio.Task] = []
         self._stopped = asyncio.Event()
+        # Set by the pump loop after every pump; see _next_pump.
+        self._pumped = asyncio.Event()
         self.draining = False
         self.drain_report: Optional[Dict[str, Any]] = None
         self.port: Optional[int] = None
@@ -299,17 +301,16 @@ class NetFrontServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        # Flush in-flight frames: keep pumping until the gateway owes
-        # nothing (the async equivalent of Gateway.drain, which must
-        # not block this event loop).
+        # Flush in-flight frames: the pump loop keeps routing poses
+        # until the gateway owes nothing (the async equivalent of
+        # Gateway.drain, which must not block this event loop).
         deadline = time.monotonic() + self.config.drain_timeout_s
         drain_timed_out = False
         while self.backend.outstanding() > 0:
-            self._route_results(self.backend.pump())
             if time.monotonic() >= deadline:
                 drain_timed_out = True
                 break
-            await asyncio.sleep(0.0005)
+            await self._next_pump()
         # Give every writer a moment to flush queued poses.
         flush_deadline = time.monotonic() + min(
             2.0, self.config.drain_timeout_s
@@ -371,17 +372,45 @@ class NetFrontServer:
 
     # -- background tasks -----------------------------------------------
     async def _pump_loop(self) -> None:
-        """The gateway's event-loop tick: drain poses, route them."""
-        while True:
-            try:
-                results = self.backend.pump()
-            except GatewayError:
-                results = []
-            if results:
+        """The gateway's event-loop tick: drain poses, route them, then
+        park until the response doorbell rings or a heartbeat period
+        passes (the timer keeps the gateway's liveness checks running
+        on an idle pool)."""
+        loop = asyncio.get_running_loop()
+        wake = asyncio.Event()
+        doorbell = self.backend.response_doorbell
+        period = self.backend.heartbeat_interval_s
+        loop.add_reader(doorbell, wake.set)
+        try:
+            while True:
+                wake.clear()
+                try:
+                    results = self.backend.pump()
+                except GatewayError:
+                    results = []
                 self._route_results(results)
-                await asyncio.sleep(0)
-            else:
-                await asyncio.sleep(self.config.pump_interval_s)
+                self._pumped.set()
+                # A timer callback, not asyncio.wait_for: on Python 3.11
+                # wait_for can swallow the cancel that stops this task.
+                timer = loop.call_later(period, wake.set)
+                try:
+                    await wake.wait()
+                finally:
+                    timer.cancel()
+        finally:
+            loop.remove_reader(doorbell)
+
+    async def _next_pump(self) -> None:
+        """Wait until the pump loop has run once more (bounded by a
+        heartbeat period, so a waiter never outlives a dead loop)."""
+        self._pumped.clear()
+        timer = asyncio.get_running_loop().call_later(
+            self.backend.heartbeat_interval_s, self._pumped.set
+        )
+        try:
+            await self._pumped.wait()
+        finally:
+            timer.cancel()
 
     def _route_results(self, results) -> None:
         for result in results:
@@ -707,10 +736,11 @@ class NetFrontServer:
                 submit(sid, message.array)
                 break
             except QueueFullError:
-                # Ring backpressure: this connection's task yields (the
-                # pool keeps serving everyone else) and retries until
-                # its deadline, then the frame is rejected with a typed
-                # error instead of wedging the socket.
+                # Ring backpressure: this connection's task waits for
+                # the next pump (the pool keeps serving everyone else)
+                # and retries until its deadline, then the frame is
+                # rejected with a typed error instead of wedging the
+                # socket.
                 if time.monotonic() >= deadline:
                     self.metrics.counter(
                         "netfront.frames_rejected"
@@ -726,8 +756,7 @@ class NetFrontServer:
                         frame_id=message.frame_id,
                     )
                     return
-                self._route_results(self.backend.pump())
-                await asyncio.sleep(0.0005)
+                await self._next_pump()
             except GatewayError as error:
                 # Session died underneath (e.g. closed during drain).
                 self.metrics.counter(

@@ -153,9 +153,12 @@ class Tracer:
         self._lock = threading.Lock()
         # Span timestamps are perf_counter-relative to ``_epoch``;
         # ``_epoch_unix`` is the matching wall-clock instant so spans
-        # from different processes can be merged on one absolute axis.
+        # from different processes can be merged on one absolute axis,
+        # and ``_epoch_monotonic`` the matching system-wide monotonic
+        # instant, the clock of cross-process stage stamps.
         self._epoch = time.perf_counter()
         self._epoch_unix = time.time()
+        self._epoch_monotonic = time.monotonic()
 
     # -- thread-local context ------------------------------------------
     def _stack(self) -> List[Span]:
@@ -218,9 +221,11 @@ class Tracer:
             self._local.remote = previous
 
     # -- timestamp conversion ------------------------------------------
-    def rel_from_unix(self, unix_ts: float) -> float:
-        """A wall-clock timestamp as this tracer's relative seconds."""
-        return unix_ts - self._epoch_unix
+    def rel_from_monotonic(self, monotonic_ts: float) -> float:
+        """A ``time.monotonic()`` timestamp -- possibly taken in another
+        process, since the clock is system-wide -- as this tracer's
+        relative seconds."""
+        return monotonic_ts - self._epoch_monotonic
 
     def rel_from_perf(self, perf_ts: float) -> float:
         """A ``perf_counter`` timestamp as relative seconds."""
@@ -291,7 +296,7 @@ class Tracer:
         For work whose boundaries were measured out-of-band (the gateway
         worker attributes a batched forward to each frame after the
         fact): timestamps are this tracer's relative seconds (see
-        :meth:`rel_from_unix` / :meth:`rel_from_perf`), and the parent
+        :meth:`rel_from_monotonic` / :meth:`rel_from_perf`), and the parent
         may live in another process.
         """
         if not self.enabled:

@@ -1,10 +1,12 @@
 """Tests of the multi-process serving gateway (:mod:`repro.gateway`):
 shared-memory ring semantics, the zero-copy ingest guarantee, pose
 parity with the in-process server, sticky session affinity, frame
-accounting under load, and SIGKILL crash recovery."""
+accounting under load, SIGKILL crash recovery, doorbell wakeups, the
+bounded session registry and the monotonic stage clock."""
 
 import os
 import pickle
+import select
 import signal
 import time
 
@@ -349,6 +351,11 @@ def test_gateway_merged_health_and_prometheus(configs):
         assert set(stats["workers"]) == {0, 1}
         assert all(
             entry["alive"] for entry in stats["workers"].values()
+        )
+        # Processes are the unit of parallelism: one BLAS thread each.
+        assert all(
+            entry["blas_threads"] == 1
+            for entry in stats["workers"].values()
         )
         text = gateway.prometheus()
         assert "gateway_health" in text
@@ -811,3 +818,141 @@ def test_gateway_crash_keeps_correlation_and_trace_parentage(configs):
     dead = int(stats["dead_letters"]["total"])
     crash_acked = int(counters.get("gateway.crash_dead_letters", 0))
     assert sent == acked + dead - crash_acked
+
+
+# ----------------------------------------------------------------------
+# Doorbells, bounded registry, monotonic stage stamps
+# ----------------------------------------------------------------------
+
+
+def test_gateway_bursts_get_acked_within_a_heartbeat(configs):
+    """300 frames in bursts of 1-5 with random sub-millisecond spacing,
+    the caller parking on the response doorbell until each burst is
+    acked. Pushes race the workers' parking at random phases; every
+    frame is acked and answered, and no ack lags its submit by a
+    heartbeat period -- the delay a lost wakeup would cost."""
+    radar, dsp, model = configs
+    rng = np.random.default_rng(11)
+    with Gateway(
+        radar, dsp, model, _gateway_config(workers=2)
+    ) as gateway:
+        sids = [gateway.open_session() for _ in range(6)]
+        period = gateway.heartbeat_interval_s
+        results = []
+
+        def bursts(frames):
+            """Send ``frames`` in bursts; the submit-to-ack gaps."""
+            gaps = []
+            sent = 0
+            while sent < len(frames):
+                submitted = {}
+                for _ in range(int(rng.integers(1, 6))):
+                    if sent == len(frames):
+                        break
+                    sid = sids[sent % len(sids)]
+                    gateway.submit_cube(sid, frames[sent])
+                    submitted[(sid, gateway._frame_ids[sid])] = (
+                        time.monotonic()
+                    )
+                    sent += 1
+                    time.sleep(rng.uniform(0.0, 0.001))
+                deadline = time.monotonic() + 10.0
+                while submitted and time.monotonic() < deadline:
+                    select.select(
+                        [gateway.response_doorbell], [], [], period
+                    )
+                    results.extend(gateway.pump())
+                    acked_at = time.monotonic()
+                    unacked = set()
+                    for handle in gateway._workers:
+                        unacked.update(handle.inflight)
+                    for key in [k for k in submitted if k not in unacked]:
+                        gaps.append(acked_at - submitted.pop(key))
+                time.sleep(rng.uniform(0.0, 0.001))
+            return gaps
+
+        # Warm-up: the first forwards build the compiled plan for each
+        # batch size; time only what comes after.
+        bursts(_cube_frames(dsp, 60, seed=12))
+        gaps = bursts(_cube_frames(dsp, 300, seed=11))
+        results.extend(gateway.drain(timeout_s=30))
+        counters = gateway.stats()["counters"]
+
+    assert int(counters["gateway.acks"]) == 360
+    assert len(gaps) == 300
+    assert max(gaps) < period, max(gaps)
+    assert len(results) == 360 - len(sids) * (dsp.segment_frames - 1)
+
+
+def test_gateway_forgets_settled_sessions(configs):
+    """Churn 500 short sessions: the dispatcher's session registry
+    stays bounded while ``sent == acked + dead_lettered`` holds, and
+    every acked window is answered even when the close follows its
+    frames at once."""
+    radar, dsp, model = configs
+    frames = _cube_frames(dsp, 3, seed=19)
+    with Gateway(
+        radar, dsp, model, _gateway_config(workers=2)
+    ) as gateway:
+        sent = 0
+        results = []
+        largest = 0
+        for _ in range(500):
+            sid = gateway.open_session()
+            batch_sent, batch = _feed_all(gateway, [sid], frames)
+            sent += batch_sent
+            results.extend(batch)
+            gateway.close_session(sid)
+            results.extend(gateway.pump())
+            largest = max(
+                largest,
+                len(gateway._sessions),
+                len(gateway._closed_sessions),
+                len(gateway._frame_ids),
+            )
+        results.extend(gateway.drain(timeout_s=60))
+        for _ in range(100):
+            if not gateway._sessions:
+                break
+            select.select([gateway.response_doorbell], [], [], 0.05)
+            results.extend(gateway.pump())
+        counters = gateway.stats()["counters"]
+        dead = int(gateway.dead_letters.stats()["total"])
+
+        # Only sessions whose close is not yet confirmed stay in the
+        # registry; pumping every iteration keeps them to a couple of
+        # request rings' worth, far below the 500 opened.
+        assert largest <= 2 * 32
+        assert gateway._sessions == {}
+        assert gateway._closed_sessions == set()
+        assert gateway._frame_ids == {}
+    assert sent == int(counters["gateway.acks"]) + dead
+    assert dead == 0
+    assert len(results) == 500 * (len(frames) - dsp.segment_frames + 1)
+
+
+def test_gateway_ring_wait_ignores_wall_clock_jumps(configs, monkeypatch):
+    """Stage stamps use the monotonic clock: a worker whose wall clock
+    runs an hour ahead of the dispatcher's still measures ring waits in
+    milliseconds."""
+    radar, dsp, model = configs
+    dispatcher_pid = os.getpid()
+    real_time = time.time
+
+    def skewed_time():
+        if os.getpid() == dispatcher_pid:
+            return real_time()
+        return real_time() + 3600.0
+
+    # Forked workers inherit the patched clock.
+    monkeypatch.setattr(time, "time", skewed_time)
+    with Gateway(
+        radar, dsp, model, _gateway_config(workers=1)
+    ) as gateway:
+        sid = gateway.open_session()
+        _feed_all(gateway, [sid], _cube_frames(dsp, 6, seed=23))
+        gateway.drain(timeout_s=30)
+        stages = gateway.stats()["stage_latency"]
+    assert stages["ring_wait"]["count"] == 6
+    assert stages["ring_wait"]["max"] < 1.0
+    assert stages["pose_return"]["max"] < 1.0

@@ -2,7 +2,8 @@
 protocol encode/decode hardening, admission control (limits, auth
 lockout, health ladder), live server round trips, the chaos-parity
 drill (fuzzer + slow reader + mid-stream disconnect concurrent with
-clean clients), graceful drain accounting, and the SIGTERM CLI path."""
+clean clients), graceful drain accounting, idle parking, and the
+SIGTERM CLI path."""
 
 import json
 import os
@@ -742,6 +743,40 @@ def test_drain_reports_accounting_and_notifies_clients(configs):
         if client is not None:
             client.close()
         handle.stop()
+        gateway.shutdown()
+
+
+def _cpu_seconds(pid):
+    """User + system CPU time of one process, from /proc/<pid>/stat."""
+    with open(f"/proc/{pid}/stat") as fh:
+        fields = fh.read().rsplit(")", 1)[1].split()
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+
+def test_idle_pool_parks_and_stops_promptly(configs):
+    """An idle 2-worker pool behind netfront parks on its doorbells:
+    under 5% of one CPU in total over 2 s, and stop() returns well
+    inside its deadline while the pump loop is parked."""
+    gateway = _gateway(configs, workers=2)
+    handle = start_in_thread(gateway, _net_config())
+    try:
+        pids = [os.getpid()] + [
+            worker.process.pid for worker in gateway._workers
+        ]
+        time.sleep(0.5)  # let start-up work settle
+        before = [_cpu_seconds(pid) for pid in pids]
+        start = time.monotonic()
+        time.sleep(2.0)
+        elapsed = time.monotonic() - start
+        used = sum(_cpu_seconds(pid) for pid in pids) - sum(before)
+        assert used / elapsed < 0.05, used / elapsed
+
+        start = time.monotonic()
+        report = handle.stop(timeout_s=30.0)
+        assert time.monotonic() - start < 5.0
+        assert report["lost_clean_frames"] == 0
+        assert not handle.thread.is_alive()
+    finally:
         gateway.shutdown()
 
 

@@ -157,10 +157,10 @@ class HandJointRegressor(Module):
     ) -> np.ndarray:
         """Joints in metres for raw cube segments ``(N, st, V, D, A)``.
 
-        Runs in eval mode without recording gradients. By default each
-        batch executes the compiled autograd-free plan
-        (:mod:`repro.nn.inference`); ``use_compiled=False`` forces the
-        eager forward.
+        Runs with inference semantics (running BN statistics, dropout
+        off) without recording gradients. By default each batch executes
+        the compiled autograd-free plan (:mod:`repro.nn.inference`);
+        ``use_compiled=False`` forces the eager forward in eval mode.
         """
         segments = np.asarray(segments, dtype=np.float32)
         if segments.ndim == 4:
@@ -176,8 +176,12 @@ class HandJointRegressor(Module):
             # the cache) regresses to an empty prediction.
             return np.zeros((0, joints, 3), dtype=np.float32)
         plan = self.compiled() if use_compiled else None
-        was_training = self.training
-        self.eval()
+        # The plan folds BN from running statistics and never reads the
+        # training flag, so only the eager forward switches to eval mode
+        # (a walk over every module).
+        was_training = self.training and plan is None
+        if plan is None:
+            self.eval()
         outputs = []
         try:
             with no_grad(), trace.span(

@@ -11,6 +11,9 @@ Three mechanisms:
   layer encodes them into per-channel weights (Eq. 4-5).
 * :class:`SpatialAttention` -- mean and max over the velocity/channel
   axis feed a conv producing a weight per range-angle position (Eq. 6-7).
+
+Each forward is one call of its fused kernel in
+:mod:`repro.nn.functional`, the same kernel the compiled plan runs.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 from repro.errors import ModelError
 from repro.nn import functional as F
 from repro.nn.layers import Conv2d, Linear, Module
-from repro.nn.tensor import Tensor, concat
+from repro.nn.tensor import Tensor
 
 
 class FrameAttention(Module):
@@ -50,12 +53,10 @@ class FrameAttention(Module):
             raise ModelError(
                 f"FrameAttention expects (B, st, V, D, A), got {x.shape}"
             )
-        b, st = x.shape[0], x.shape[1]
-        pooled = x.mean(axis=(2, 3, 4)) + x.max(axis=(2, 3, 4))  # (B, st)
-        seq = pooled.reshape(b, 1, 1, st)
-        weights = self.conv2(self.conv1(seq).relu()).sigmoid()
-        weights = weights.reshape(b, st, 1, 1, 1)
-        return x * weights
+        return F.frame_attention(
+            x, self.conv1.weight, self.conv1.bias, self.conv2.weight,
+            self.conv2.bias,
+        )
 
 
 class VelocityChannelAttention(Module):
@@ -80,12 +81,7 @@ class VelocityChannelAttention(Module):
                 f"VelocityChannelAttention expects (N, {self.channels}, D, "
                 f"A), got {x.shape}"
             )
-        n, c = x.shape[0], x.shape[1]
-        gap = x.mean(axis=(2, 3))  # (N, C)
-        gmp = x.max(axis=(2, 3))
-        features = concat([gap, gmp], axis=1)
-        weights = self.fc(features).sigmoid().reshape(n, c, 1, 1)
-        return x * weights
+        return F.channel_attention(x, self.fc.weight, self.fc.bias)
 
 
 class SpatialAttention(Module):
@@ -108,11 +104,5 @@ class SpatialAttention(Module):
             raise ModelError(
                 f"SpatialAttention expects (N, C, D, A), got {x.shape}"
             )
-        mean_map = x.mean(axis=1, keepdims=True)
-        max_map = x.max(axis=1, keepdims=True)
-        maps = concat([mean_map, max_map], axis=1)
-        weights = F.shifted_conv2d(
-            maps, self.conv.weight, self.conv.bias
-        ).sigmoid()
-        return x * weights
+        return F.spatial_attention(x, self.conv.weight, self.conv.bias)
 

@@ -1,10 +1,11 @@
-"""Raw-ndarray convolution kernels and functional ops on autograd tensors.
+"""Raw-ndarray kernels and functional ops on autograd tensors.
 
-Every convolution runs through one raw-ndarray kernel that both eager
-autograd (:func:`conv2d`, :func:`conv_transpose2d`,
-:func:`shifted_conv2d`) and the compiled plan ops of
-:mod:`repro.nn.inference` call; the plan passes its arena and folded
-weights, eager calls get fresh arrays. The kernels:
+Every convolution and attention layer runs through one raw-ndarray
+kernel that both eager autograd (:func:`conv2d`,
+:func:`conv_transpose2d`, :func:`spatial_attention`,
+:func:`channel_attention`, :func:`frame_attention`) and the compiled
+plan ops of :mod:`repro.nn.inference` call; the plan passes its arena
+and folded weights, eager calls get fresh arrays. The kernels:
 
 * :func:`conv2d_raw` -- pad -> im2col -> batched GEMM straight into
   NCHW; 1x1 stride-1 unpadded convs skip pad and im2col and run as a
@@ -13,8 +14,12 @@ weights, eager calls get fresh arrays. The kernels:
   convolution: the ``s*s`` output phases of ``conv(zero-stuffed x)``
   are one GEMM over a small im2col of ``x`` itself, then a pixel
   shuffle interleaves them;
-* :func:`shifted_conv2d_raw` -- a single-output-channel "same" conv
-  (spatial attention) as ``C*k*k`` multiply-adds over shifted views.
+* :func:`band_conv2d_raw` -- a single-output-channel "same" conv as
+  one GEMM of padded row segments with a banded weight matrix
+  (:func:`conv_band`);
+* :func:`spatial_attention_raw`, :func:`channel_attention_raw`,
+  :func:`frame_attention_raw` -- each attention layer whole: pooling,
+  conv or FC, sigmoid and rescale.
 
 Each has a matching ``*_grads`` function computing the backward pass on
 raw ndarrays.
@@ -412,107 +417,391 @@ def conv_transpose2d(
 
 
 # ----------------------------------------------------------------------
-# Shifted-tap conv (spatial attention)
+# In-place activations (plan epilogues)
 # ----------------------------------------------------------------------
-def shifted_conv2d_raw(
-    x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
-    arena=FRESH, key: Tuple = (), epilogue: Epilogue = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Single-output "same" conv as multiply-adds over shifted views.
+def relu_inplace(x: np.ndarray) -> np.ndarray:
+    return np.maximum(x, 0.0, out=x)
 
-    ``x`` is ``(N, C, H, W)``, ``weight`` ``(1, C, k, k)`` with odd
-    ``k``, ``bias`` ``(1,)``; the output ``(N, 1, H, W)`` is
-    ``bias + sum_{c,i,j} w[c,i,j] * x_pad[:, c, i:i+H, j:j+W]`` --
-    ``C*k*k`` in-place multiply-adds, nothing built with im2col.
-    Returns ``(out, padded_x)``.
-    """
-    n, c, h, w = x.shape
-    k = weight.shape[-1]
-    p = k // 2
-    dtype = np.result_type(x.dtype, weight.dtype)
-    padded = arena.get(
-        key + ("pad",), (n, c, h + 2 * p, w + 2 * p), x.dtype, zero=True
+
+def sigmoid_inplace(x: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(-x))`` computed in place (``Tensor.sigmoid``'s
+    exact formula)."""
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    x += 1.0
+    np.reciprocal(x, out=x)
+    return x
+
+
+# ----------------------------------------------------------------------
+# Banded conv (the spatial-attention conv)
+# ----------------------------------------------------------------------
+def _diagonals(band4: np.ndarray, width: int) -> np.ndarray:
+    """View ``v[c, i, j, w] = band4[c, i, w + j, w]`` of a
+    ``(C, k, W+k-1, W)`` band: tap ``(i, j)`` of channel ``c`` along
+    its diagonal."""
+    c, k, _, _ = band4.shape
+    s0, s1, s2, s3 = band4.strides
+    return np.lib.stride_tricks.as_strided(
+        band4, (c, k, k, width), (s0, s1, s2, s2 + s3)
     )
-    padded[:, :, p:p + h, p:p + w] = x
-    out = arena.get(key + ("out",), (n, 1, h, w), dtype)
-    acc = out[:, 0]
-    tmp = arena.get(key + ("tap",), (n, h, w), dtype)
-    acc.fill(bias[0])
-    for ci in range(c):
-        for i in range(k):
-            for j in range(k):
-                np.multiply(
-                    padded[:, ci, i:i + h, j:j + w], weight[0, ci, i, j],
-                    out=tmp,
-                )
-                acc += tmp
-    if epilogue is not None:
-        epilogue(out)
-    return out, padded
 
 
-def shifted_conv2d_grads(
-    grad: np.ndarray, padded: np.ndarray, weight: np.ndarray,
-    need_x: bool = True,
-) -> Tuple[Optional[np.ndarray], np.ndarray]:
-    """Backward of :func:`shifted_conv2d_raw`: ``(grad_x, grad_w)``.
+def conv_band(weight: np.ndarray, width: int) -> np.ndarray:
+    """``(1, C, k, k)`` kernel -> ``(C*k*(W+k-1), W)`` banded GEMM weight.
 
-    The weight gradient is ``k*k`` dot products of the output gradient
-    with the shifted input views; the input gradient is the shifted
-    multiply-adds run in reverse.
+    Row ``(c, i, m)`` holds ``weight[0, c, i, m - w]`` in column ``w``
+    where ``0 <= m - w < k``, zero elsewhere, so a padded row segment
+    times the band is that row's contribution to a "same" conv.
+    """
+    _, c, k, _ = weight.shape
+    band = np.zeros((c, k, width + k - 1, width), weight.dtype)
+    _diagonals(band, width)[...] = weight[0, :, :, :, None]
+    return band.reshape(-1, width)
+
+
+def conv_band_grad(g_band: np.ndarray, kernel: int) -> np.ndarray:
+    """Adjoint of :func:`conv_band`: the ``(1, C, k, k)`` weight
+    gradient is the band gradient summed along each tap's diagonal."""
+    width = g_band.shape[1]
+    g4 = g_band.reshape(-1, kernel, width + kernel - 1, width)
+    return _diagonals(g4, width).sum(axis=-1)[None]
+
+
+def _band_rows(padded: np.ndarray, kernel: int, out: np.ndarray) -> None:
+    """Copy the ``k`` padded rows under each output row into ``out``,
+    an ``(N*H, C*k*(W+k-1))`` buffer: one strided copy."""
+    n, c, hp, wp = padded.shape
+    h = hp - kernel + 1
+    sn, sc, sh, sw = padded.strides
+    view = np.lib.stride_tricks.as_strided(
+        padded, (n, h, c, kernel, wp), (sn, sh, sc, sh, sw)
+    )
+    np.copyto(out.reshape(n, h, c, kernel, wp), view)
+
+
+def band_conv2d_raw(
+    padded: np.ndarray, band: np.ndarray, kernel: int,
+    arena=FRESH, key: Tuple = (),
+) -> np.ndarray:
+    """Single-output "same" conv of a padded ``(N, C, H+k-1, W+k-1)``
+    input as one GEMM: band rows ``(N*H, C*k*(W+k-1))`` times the
+    :func:`conv_band` matrix. Returns the unbiased ``(N*H, W)`` output.
     """
     n, c, hp, wp = padded.shape
-    k = weight.shape[-1]
-    p = k // 2
-    h, w = hp - 2 * p, wp - 2 * p
-    g = grad[:, 0]
-    gw = np.empty(weight.shape, dtype=weight.dtype)
-    for i in range(k):
-        for j in range(k):
-            gw[0, :, i, j] = np.einsum(
-                "nhw,nchw->c", g, padded[:, :, i:i + h, j:j + w]
-            )
+    h = hp - kernel + 1
+    rows = arena.get(key + ("rows",), (n * h, c * kernel * wp), padded.dtype)
+    _band_rows(padded, kernel, rows)
+    out = arena.get(
+        key + ("conv",), (n * h, band.shape[1]),
+        np.result_type(padded.dtype, band.dtype),
+    )
+    np.matmul(rows, band, out=out)
+    return out
+
+
+def band_conv2d_grads(
+    grad: np.ndarray, padded: np.ndarray, band: np.ndarray, kernel: int,
+    need_x: bool = True,
+) -> Tuple[Optional[np.ndarray], np.ndarray]:
+    """Backward of :func:`band_conv2d_raw` given the ``(N*H, W)`` output
+    gradient: ``(grad_padded or None, grad_band)``.
+
+    The rows are rebuilt from ``padded``; ``rows.T @ grad`` is the band
+    gradient (:func:`conv_band_grad` reads the weight gradient off it)
+    and ``grad @ band.T`` the row gradient, which ``k`` strided adds
+    scatter back into the padded input.
+    """
+    n, c, hp, wp = padded.shape
+    h = hp - kernel + 1
+    rows = np.empty((n * h, c * kernel * wp), padded.dtype)
+    _band_rows(padded, kernel, rows)
+    g_band = rows.T @ grad
     if not need_x:
-        return None, gw
-    gpad = np.zeros(padded.shape, np.result_type(g.dtype, weight.dtype))
-    tmp = np.empty_like(g)
-    for ci in range(c):
-        for i in range(k):
-            for j in range(k):
-                np.multiply(g, weight[0, ci, i, j], out=tmp)
-                gpad[:, ci, i:i + h, j:j + w] += tmp
-    return gpad[:, :, p:p + h, p:p + w], gw
+        return None, g_band
+    g_rows = (grad @ band.T).reshape(n, h, c, kernel, wp)
+    g_pad = np.zeros(padded.shape, g_rows.dtype)
+    for i in range(kernel):
+        g_pad[:, :, i:i + h] += g_rows[:, :, :, i].transpose(0, 2, 1, 3)
+    return g_pad, g_band
 
 
-def shifted_conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Autograd wrapper of :func:`shifted_conv2d_raw`."""
+# ----------------------------------------------------------------------
+# Attention kernels
+# ----------------------------------------------------------------------
+def _pool_grad(
+    x: np.ndarray, peak: np.ndarray, g_max: np.ndarray,
+    g_mean: np.ndarray, axis: Tuple[int, ...],
+) -> np.ndarray:
+    """Input gradient of ``max(x, axis)`` and ``mean(x, axis)`` given
+    their gradients ``g_max`` and ``g_mean``; these and ``peak`` (the
+    max itself) keep the reduced axes as size 1.
+
+    Tied maxima share ``g_max`` equally, the rule of ``Tensor.max``
+    (post-ReLU maps tie at 0); ties are counted in the gradient's dtype.
+    """
+    grad = np.equal(
+        x, peak, out=np.empty(x.shape, g_max.dtype), casting="unsafe"
+    )
+    ties = grad.sum(axis=axis, keepdims=True)
+    grad *= g_max / ties
+    grad += g_mean * (ties.size / grad.size)
+    return grad
+
+
+def spatial_attention_raw(
+    x: np.ndarray, band: np.ndarray, bias: np.ndarray, kernel: int,
+    arena=FRESH, key: Tuple = (),
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Spatial attention (Eq. 6-7) on ``(N, C, H, W)``.
+
+    The channel mean and max maps are pooled straight into a zero-padded
+    ``(N, 2, H+k-1, W+k-1)`` buffer, the 2->1 "same" conv runs as one
+    banded GEMM (``band`` from :func:`conv_band` of the ``(1, 2, k, k)``
+    kernel, ``bias`` its ``(1,)`` bias), then the sigmoid and the
+    rescale. Returns ``(out, padded, weights)``; the backward takes the
+    last two back.
+    """
+    n, _, h, w = x.shape
+    p = kernel // 2
+    padded = arena.get(
+        key + ("pad",), (n, 2, h + 2 * p, w + 2 * p), x.dtype, zero=True
+    )
+    np.mean(x, axis=1, out=padded[:, 0, p:p + h, p:p + w])
+    np.max(x, axis=1, out=padded[:, 1, p:p + h, p:p + w])
+    weights = band_conv2d_raw(padded, band, kernel, arena, key)
+    weights += bias
+    sigmoid_inplace(weights)
+    weights = weights.reshape(n, 1, h, w)
+    out = arena.get(
+        key + ("out",), x.shape, np.result_type(x.dtype, weights.dtype)
+    )
+    np.multiply(x, weights, out=out)
+    return out, padded, weights
+
+
+def spatial_attention_grads(
+    grad: np.ndarray, x: np.ndarray, padded: np.ndarray,
+    weights: np.ndarray, band: np.ndarray, kernel: int,
+    need_x: bool = True,
+) -> Tuple[Optional[np.ndarray], np.ndarray, np.ndarray]:
+    """Backward of :func:`spatial_attention_raw`:
+    ``(grad_x or None, grad_band, grad_bias)``."""
+    n, c, h, w = x.shape
+    p = kernel // 2
+    s = weights.reshape(n * h, w)
+    g_conv = np.einsum("nchw,nchw->nhw", grad, x).reshape(n * h, w)
+    g_conv *= s
+    g_conv *= 1.0 - s
+    g_bias = g_conv.sum(keepdims=True).reshape(1)
+    g_pad, g_band = band_conv2d_grads(g_conv, padded, band, kernel, need_x)
+    if not need_x:
+        return None, g_band, g_bias
+    g_maps = g_pad[:, :, p:p + h, p:p + w]
+    gx = _pool_grad(
+        x, padded[:, 1:, p:p + h, p:p + w], g_maps[:, 1:], g_maps[:, :1],
+        (1,),
+    )
+    gx += grad * weights
+    return gx, g_band, g_bias
+
+
+def spatial_attention(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """Autograd wrapper of :func:`spatial_attention_raw`; the band is
+    built from ``weight`` on every call."""
     if x.ndim != 4:
         raise ModelError(
-            f"shifted_conv2d expects NCHW input, got shape {x.shape}"
+            f"spatial attention expects (N, C, H, W), got {x.shape}"
         )
-    if (
-        weight.ndim != 4 or weight.shape[0] != 1
-        or weight.shape[1] != x.shape[1]
-        or weight.shape[2] != weight.shape[3] or weight.shape[2] % 2 != 1
-    ):
+    k = weight.shape[-1]
+    if weight.shape != (1, 2, k, k) or k % 2 != 1:
         raise ModelError(
-            f"shifted_conv2d weight must be (1, {x.shape[1]}, k, k) with "
-            f"odd k, got {weight.shape}"
+            f"spatial attention weight must be (1, 2, k, k) with odd k, "
+            f"got {weight.shape}"
         )
-    out_data, padded = shifted_conv2d_raw(x.data, weight.data, bias.data)
+    band = conv_band(weight.data, x.shape[3])
+    out, padded, weights = spatial_attention_raw(x.data, band, bias.data, k)
 
     def backward(grad: np.ndarray) -> None:
-        gx, gw = shifted_conv2d_grads(
-            grad, padded, weight.data, need_x=x.requires_grad
+        gx, g_band, g_bias = spatial_attention_grads(
+            grad, x.data, padded, weights, band, k, need_x=x.requires_grad
         )
         if weight.requires_grad:
-            weight._accumulate(gw)
+            weight._accumulate(conv_band_grad(g_band, k))
         if bias.requires_grad:
-            bias._accumulate(grad.sum(axis=(0, 2, 3)))
+            bias._accumulate(g_bias)
         if gx is not None:
             x._accumulate(gx)
 
-    return Tensor._make(out_data, (x, weight, bias), backward)
+    return Tensor._make(out, (x, weight, bias), backward)
+
+
+def channel_attention_raw(
+    x: np.ndarray, w_t: np.ndarray, bias: np.ndarray,
+    arena=FRESH, key: Tuple = (),
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Velocity-channel attention (Eq. 4-5) on ``(N, C, H, W)``.
+
+    ``[GAP, GMP]`` features ``(N, 2C)`` through the FC (``w_t`` the
+    ``(2C, C)`` transposed weight, ``bias`` ``(C,)``), the sigmoid and
+    the per-channel rescale. Returns ``(out, features, weights)``.
+    """
+    n, c = x.shape[:2]
+    dtype = np.result_type(x.dtype, w_t.dtype)
+    features = arena.get(key + ("feat",), (n, 2 * c), x.dtype)
+    np.mean(x, axis=(2, 3), out=features[:, :c])
+    np.max(x, axis=(2, 3), out=features[:, c:])
+    weights = arena.get(key + ("w",), (n, c), dtype)
+    np.matmul(features, w_t, out=weights)
+    weights += bias
+    sigmoid_inplace(weights)
+    out = arena.get(key + ("out",), x.shape, dtype)
+    np.multiply(x, weights.reshape(n, c, 1, 1), out=out)
+    return out, features, weights
+
+
+def channel_attention_grads(
+    grad: np.ndarray, x: np.ndarray, features: np.ndarray,
+    weights: np.ndarray, w_t: np.ndarray, need_x: bool = True,
+) -> Tuple[Optional[np.ndarray], np.ndarray, np.ndarray]:
+    """Backward of :func:`channel_attention_raw`:
+    ``(grad_x or None, grad_w_t, grad_bias)``."""
+    n, c, h, w = x.shape
+    g_fc = np.einsum("nchw,nchw->nc", grad, x)
+    g_fc *= weights
+    g_fc *= 1.0 - weights
+    g_w_t = features.T @ g_fc
+    g_bias = g_fc.sum(axis=0)
+    if not need_x:
+        return None, g_w_t, g_bias
+    g_feat = (g_fc @ w_t.T).reshape(n, 2 * c, 1, 1)
+    gx = _pool_grad(
+        x, features[:, c:].reshape(n, c, 1, 1), g_feat[:, c:],
+        g_feat[:, :c], (2, 3),
+    )
+    gx += grad * weights.reshape(n, c, 1, 1)
+    return gx, g_w_t, g_bias
+
+
+def channel_attention(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """Autograd wrapper of :func:`channel_attention_raw`; ``weight`` is
+    the ``(C, 2C)`` FC weight."""
+    if x.ndim != 4 or weight.shape != (x.shape[1], 2 * x.shape[1]):
+        raise ModelError(
+            f"channel attention expects (N, C, H, W) input and a (C, 2C) "
+            f"weight, got {x.shape} and {weight.shape}"
+        )
+    w_t = weight.data.T
+    out, features, weights = channel_attention_raw(x.data, w_t, bias.data)
+
+    def backward(grad: np.ndarray) -> None:
+        gx, g_w_t, g_bias = channel_attention_grads(
+            grad, x.data, features, weights, w_t, need_x=x.requires_grad
+        )
+        if weight.requires_grad:
+            weight._accumulate(g_w_t.T)
+        if bias.requires_grad:
+            bias._accumulate(g_bias)
+        if gx is not None:
+            x._accumulate(gx)
+
+    return Tensor._make(out, (x, weight, bias), backward)
+
+
+_FRAME_AXES = (2, 3, 4)
+
+
+def frame_attention_raw(
+    x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
+    b2: np.ndarray, arena=FRESH, key: Tuple = (),
+) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
+    """Frame attention (Eq. 2-3) on ``(B, st, V, D, A)``.
+
+    Each frame's TGAP + TGMP forms a ``(B, 1, 1, st)`` sequence; two
+    3x3 "same" convs (``w1``/``w2`` flat GEMM weights, ``b1``/``b2``
+    bias columns) with a ReLU between and a sigmoid after give the
+    per-frame weights that rescale ``x``. Returns ``(out, saved)``;
+    :func:`frame_attention_grads` takes ``saved`` back.
+    """
+    b, st = x.shape[:2]
+    peak = arena.get(key + ("peak",), (b, st), x.dtype)
+    pooled = arena.get(key + ("pool",), (b, st), x.dtype)
+    np.max(x, axis=_FRAME_AXES, out=peak)
+    np.mean(x, axis=_FRAME_AXES, out=pooled)
+    pooled += peak
+    hidden, cols1 = conv2d_raw(
+        pooled.reshape(b, 1, 1, st), w1, b1, 3, 3, 1, 1, arena,
+        key + ("c1",), relu_inplace,
+    )
+    weights, cols2 = conv2d_raw(
+        hidden, w2, b2, 3, 3, 1, 1, arena, key + ("c2",), sigmoid_inplace,
+    )
+    out = arena.get(
+        key + ("out",), x.shape, np.result_type(x.dtype, weights.dtype)
+    )
+    np.multiply(x, weights.reshape(b, st, 1, 1, 1), out=out)
+    return out, (peak, hidden, cols1, cols2, weights.reshape(b, st))
+
+
+def frame_attention_grads(
+    grad: np.ndarray, x: np.ndarray, saved: Tuple[np.ndarray, ...],
+    w1: np.ndarray, w2: np.ndarray, need_x: bool = True,
+) -> Tuple[Optional[np.ndarray], Tuple[np.ndarray, ...]]:
+    """Backward of :func:`frame_attention_raw`:
+    ``(grad_x or None, (grad_w1, grad_b1, grad_w2, grad_b2))`` with the
+    weight gradients in flat GEMM form."""
+    peak, hidden, cols1, cols2, weights = saved
+    b, st = x.shape[:2]
+    g_seq = np.einsum("bsvda,bsvda->bs", grad, x)
+    g_seq *= weights
+    g_seq *= 1.0 - weights
+    g_seq = g_seq.reshape(b, 1, 1, st)
+    g_hidden, gw2 = conv2d_grads(g_seq, hidden.shape, w2, cols2, 3, 3, 1, 1)
+    g_hidden *= hidden > 0
+    g_pool, gw1 = conv2d_grads(
+        g_hidden, (b, 1, 1, st), w1, cols1, 3, 3, 1, 1, need_x=need_x
+    )
+    param_grads = (
+        gw1, g_hidden.sum(axis=(0, 2, 3)), gw2, g_seq.sum(axis=(0, 2, 3))
+    )
+    if not need_x:
+        return None, param_grads
+    g_pool = g_pool.reshape(b, st, 1, 1, 1)
+    gx = _pool_grad(
+        x, peak.reshape(b, st, 1, 1, 1), g_pool, g_pool, _FRAME_AXES
+    )
+    gx += grad * weights.reshape(b, st, 1, 1, 1)
+    return gx, param_grads
+
+
+def frame_attention(
+    x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor
+) -> Tensor:
+    """Autograd wrapper of :func:`frame_attention_raw`; ``w1``/``w2`` are
+    the ``(O, C, 3, 3)`` conv kernels and ``b1``/``b2`` their biases."""
+    if x.ndim != 5:
+        raise ModelError(
+            f"frame attention expects (B, st, V, D, A), got {x.shape}"
+        )
+    params = (w1, b1, w2, b2)
+    w1_flat = w1.data.reshape(w1.shape[0], -1)
+    w2_flat = w2.data.reshape(w2.shape[0], -1)
+    out, saved = frame_attention_raw(
+        x.data, w1_flat, b1.data.reshape(-1, 1), w2_flat,
+        b2.data.reshape(-1, 1),
+    )
+
+    def backward(grad: np.ndarray) -> None:
+        gx, param_grads = frame_attention_grads(
+            grad, x.data, saved, w1_flat, w2_flat, need_x=x.requires_grad
+        )
+        for param, g in zip(params, param_grads):
+            if param.requires_grad:
+                param._accumulate(g.reshape(param.shape))
+        if gx is not None:
+            x._accumulate(gx)
+
+    return Tensor._make(out, (x,) + params, backward)
 
 
 def batch_norm2d(

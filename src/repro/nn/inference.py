@@ -13,7 +13,7 @@ the classic serving-side optimisations:
   instead of allocating a fresh array per op;
 * **pre-flattened weights** -- conv kernels are stored as contiguous
   ``(O, C*kh*kw)`` GEMM operands and linear/LSTM weights pre-transposed;
-  the conv ops run the same raw kernels as eager autograd
+  the conv and attention ops run the same raw kernels as eager autograd
   (:mod:`repro.nn.functional`), with arena buffers;
 * **static memory planning** -- a probe execution records every scratch
   request, a liveness pass computes each buffer's ``[first, last]`` op
@@ -73,19 +73,6 @@ from repro.nn.layers import (
 from repro.nn.rnn import LSTM
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace
-
-
-def _relu_inplace(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0, out=x)
-
-
-def _sigmoid_inplace(x: np.ndarray) -> np.ndarray:
-    """``1 / (1 + exp(-x))`` computed in place (eager's exact formula)."""
-    np.negative(x, out=x)
-    np.exp(x, out=x)
-    x += 1.0
-    np.reciprocal(x, out=x)
-    return x
 
 
 def _reshape_fn_from_spec(spec) -> Callable:
@@ -259,7 +246,7 @@ class ConvOp(PlanOp):
         regs[self.dst], _ = F.conv2d_raw(
             regs[self.src], self.w_flat, self.bias_col, self.kh, self.kw,
             self.stride, self.padding, arena, (self.op_id,),
-            _relu_inplace if self.relu else None,
+            F.relu_inplace if self.relu else None,
         )
 
 
@@ -304,7 +291,7 @@ class ConvTransposeOp(ConvOp):
         regs[self.dst], _ = F.conv_transpose2d_raw(
             regs[self.src], self.w_flat, self.bias_col, self.kernel,
             self.stride, arena, (self.op_id,),
-            _relu_inplace if self.relu else None,
+            F.relu_inplace if self.relu else None,
         )
 
 
@@ -365,7 +352,7 @@ class ActivationOp(PlanOp):
             np.maximum(x, 0.0, out=out)
         elif self.kind == "sigmoid":
             np.copyto(out, x)
-            _sigmoid_inplace(out)
+            F.sigmoid_inplace(out)
         else:  # tanh
             np.tanh(x, out=out)
         regs[self.dst] = out
@@ -527,21 +514,10 @@ class FrameAttentionOp(PlanOp):
         self.module = None
 
     def run(self, regs: List, arena) -> None:
-        x = regs[self.src]
-        b, st = x.shape[:2]
-        pooled = x.mean(axis=(2, 3, 4)) + x.max(axis=(2, 3, 4))  # (B, st)
-        seq = pooled.reshape(b, 1, 1, st)
-        hidden, _ = F.conv2d_raw(
-            seq, self.w1, self.b1, 3, 3, 1, 1, arena,
-            (self.op_id, "c1"), _relu_inplace,
+        regs[self.dst], _ = F.frame_attention_raw(
+            regs[self.src], self.w1, self.b1, self.w2, self.b2, arena,
+            (self.op_id,),
         )
-        weights, _ = F.conv2d_raw(
-            hidden, self.w2, self.b2, 3, 3, 1, 1, arena,
-            (self.op_id, "c2"), _sigmoid_inplace,
-        )
-        out = arena.get((self.op_id, "out"), x.shape, x.dtype)
-        np.multiply(x, weights.reshape(b, st, 1, 1, 1), out=out)
-        regs[self.dst] = out
 
 
 class VelocityChannelAttentionOp(PlanOp):
@@ -568,29 +544,18 @@ class VelocityChannelAttentionOp(PlanOp):
         self.module = None
 
     def run(self, regs: List, arena) -> None:
-        x = regs[self.src]
-        n, c = x.shape[:2]
-        dtype = np.result_type(x.dtype, self.w_t.dtype)
-        features = arena.get((self.op_id, "feat"), (n, 2 * c), x.dtype)
-        np.mean(x, axis=(2, 3), out=features[:, :c])
-        np.max(x, axis=(2, 3), out=features[:, c:])
-        weights = arena.get(
-            (self.op_id, "w"), (n, self.w_t.shape[1]), dtype
+        regs[self.dst], _, _ = F.channel_attention_raw(
+            regs[self.src], self.w_t, self.bias, arena, (self.op_id,)
         )
-        np.matmul(features, self.w_t, out=weights)
-        weights += self.bias
-        _sigmoid_inplace(weights)
-        out = arena.get((self.op_id, "out"), x.shape, dtype)
-        np.multiply(x, weights.reshape(n, c, 1, 1), out=out)
-        regs[self.dst] = out
 
 
 class SpatialAttentionOp(PlanOp):
     """Eq. 6-7: range-angle weights from channel mean/max maps.
 
-    The conv is the eager shifted-tap kernel
-    (:func:`~repro.nn.functional.shifted_conv2d_raw`) with the sigmoid
-    as its epilogue.
+    Runs the eager kernel
+    (:func:`~repro.nn.functional.spatial_attention_raw`) with the banded
+    conv weight cached per input width; ``refold`` rebuilds the cached
+    bands.
     """
 
     name = "spatial_attention"
@@ -601,6 +566,7 @@ class SpatialAttentionOp(PlanOp):
     ) -> None:
         super().__init__(op_id, src, dst)
         self.module = module
+        self._bands: Dict[int, np.ndarray] = {}
         self.refold()
 
     def refold(self) -> None:
@@ -609,26 +575,25 @@ class SpatialAttentionOp(PlanOp):
         conv = self.module.conv
         self.weight = np.array(conv.weight.data)
         self.bias = np.array(conv.bias.data)
+        self._bands = {
+            width: F.conv_band(self.weight, width)
+            for width in self._bands
+        }
 
     def _finish_restore(self, meta: Dict[str, Any]) -> None:
         self.module = None
+        self._bands = {}
 
     def run(self, regs: List, arena) -> None:
         x = regs[self.src]
-        n, _, d, a = x.shape
-        maps = arena.get((self.op_id, "maps"), (n, 2, d, a), x.dtype)
-        np.mean(x, axis=1, out=maps[:, 0])
-        np.max(x, axis=1, out=maps[:, 1])
-        weights, _ = F.shifted_conv2d_raw(
-            maps, self.weight, self.bias, arena, (self.op_id, "conv"),
-            _sigmoid_inplace,
+        width = x.shape[3]
+        band = self._bands.get(width)
+        if band is None:
+            band = self._bands[width] = F.conv_band(self.weight, width)
+        regs[self.dst], _, _ = F.spatial_attention_raw(
+            x, band, self.bias, self.weight.shape[-1], arena,
+            (self.op_id,),
         )
-        out = arena.get(
-            (self.op_id, "out"), x.shape,
-            np.result_type(x.dtype, weights.dtype),
-        )
-        np.multiply(x, weights, out=out)
-        regs[self.dst] = out
 
 
 class LSTMOp(PlanOp):
@@ -682,13 +647,13 @@ class LSTMOp(PlanOp):
             np.matmul(h, self.w_hh_t, out=gates)
             gates += xw3[:, t]
             gates += self.bias
-            i_gate = _sigmoid_inplace(gates[:, 0:h_dim])
-            f_gate = _sigmoid_inplace(gates[:, h_dim:2 * h_dim])
+            i_gate = F.sigmoid_inplace(gates[:, 0:h_dim])
+            f_gate = F.sigmoid_inplace(gates[:, h_dim:2 * h_dim])
             g_gate = np.tanh(
                 gates[:, 2 * h_dim:3 * h_dim],
                 out=gates[:, 2 * h_dim:3 * h_dim],
             )
-            o_gate = _sigmoid_inplace(gates[:, 3 * h_dim:4 * h_dim])
+            o_gate = F.sigmoid_inplace(gates[:, 3 * h_dim:4 * h_dim])
             np.multiply(f_gate, c, out=c)
             np.multiply(i_gate, g_gate, out=tmp)
             c += tmp

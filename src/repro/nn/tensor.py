@@ -425,7 +425,11 @@ class Tensor:
             if not self.requires_grad:
                 return
             mask = self.data == expanded
-            counts = mask.sum(axis=axis, keepdims=True)
+            # Counted in the input's dtype: an integer count would
+            # promote a float32 gradient to float64.
+            counts = mask.sum(
+                axis=axis, keepdims=True, dtype=self.data.dtype
+            )
             g = grad if keepdims else np.expand_dims(grad, axis)
             self._accumulate(mask * (g / counts))
 

@@ -17,6 +17,7 @@ but ``step``/``drain`` are meant to run on one serving loop.
 from __future__ import annotations
 
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
@@ -30,6 +31,7 @@ from repro.errors import (
     FrameShapeError,
     QueueFullError,
     ServingError,
+    SessionClosedError,
     UnknownSessionError,
 )
 from repro.resilience import (
@@ -44,6 +46,10 @@ from repro.serving.cache import SegmentCache
 from repro.obs.metrics import MetricsRegistry
 from repro.serving.queue import RequestQueue
 from repro.serving.session import SegmentRequest, Session
+
+
+CLOSED_SESSION_RECORDS = 64
+"""How many closed sessions' final ``stats()`` the server keeps."""
 
 
 @dataclass
@@ -156,7 +162,10 @@ class InferenceServer:
             dead_letters=self.dead_letters,
             fault_injector=fault_injector,
         )
+        # Open sessions only: close drops the Session (and its window)
+        # and keeps its final stats() among the most recently closed.
         self._sessions: Dict[str, Session] = {}
+        self._closed: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
         # (session_id, frame_index) pairs of the most recent step()'s
         # requests that were quarantined instead of served. The gateway
         # worker reads this to answer every in-flight frame explicitly
@@ -166,10 +175,7 @@ class InferenceServer:
     # -- session lifecycle ---------------------------------------------
     def open_session(self, session_id: Optional[str] = None) -> str:
         """Register a new client stream; returns its session id."""
-        open_count = sum(
-            1 for s in self._sessions.values() if not s.closed
-        )
-        if open_count >= self.config.max_sessions:
+        if len(self._sessions) >= self.config.max_sessions:
             raise ServingError(
                 f"session limit reached ({self.config.max_sessions})"
             )
@@ -189,6 +195,7 @@ class InferenceServer:
                 f"session id {session.session_id!r} already exists"
             )
         self._sessions[session.session_id] = session
+        self._closed.pop(session.session_id, None)
         self.metrics.counter("sessions_opened").increment()
         self.metrics.gauge("open_sessions").add(1)
         self.metrics.events.emit(
@@ -197,13 +204,22 @@ class InferenceServer:
         return session.session_id
 
     def close_session(self, session_id: str) -> None:
-        """Close a stream and discard its queued (now stale) windows."""
-        session = self._get(session_id)
-        if session.closed:
+        """Close a stream and discard its queued (now stale) windows.
+
+        The session is dropped; its final stats stay readable through
+        :meth:`session_stats` and :meth:`stats` until
+        ``CLOSED_SESSION_RECORDS`` later closes push them out.
+        """
+        if session_id in self._closed:
             return
+        session = self._get(session_id)
         session.close()
         purged = self.queue.purge_session(session_id)
         session.dropped += purged
+        del self._sessions[session_id]
+        self._closed[session_id] = session.stats()
+        while len(self._closed) > CLOSED_SESSION_RECORDS:
+            self._closed.popitem(last=False)
         self.metrics.counter("sessions_closed").increment()
         self.metrics.gauge("open_sessions").add(-1)
         self.metrics.events.emit(
@@ -213,12 +229,19 @@ class InferenceServer:
     def _get(self, session_id: str) -> Session:
         session = self._sessions.get(session_id)
         if session is None:
+            if session_id in self._closed:
+                raise SessionClosedError(
+                    f"session {session_id!r} is closed"
+                )
             raise UnknownSessionError(
                 f"unknown session id {session_id!r}"
             )
         return session
 
     def session_stats(self, session_id: str) -> Dict[str, Any]:
+        record = self._closed.get(session_id)
+        if record is not None:
+            return dict(record)
         return self._get(session_id).stats()
 
     # -- data path ------------------------------------------------------
@@ -363,11 +386,7 @@ class InferenceServer:
         """Worst health across open sessions and the compiled-path
         breaker (an open/half-open breaker means the service is serving
         degraded eager results, never better than ``DEGRADED``)."""
-        states = [
-            session.health()
-            for session in self._sessions.values()
-            if not session.closed
-        ]
+        states = [session.health() for session in self._sessions.values()]
         overall = HealthState.worst(*states)
         if self.breaker.state != "closed":
             overall = HealthState.worst(overall, HealthState.DEGRADED)
@@ -397,10 +416,10 @@ class InferenceServer:
             **self.dead_letters.stats(),
             "tail": self.dead_letters.tail(5),
         }
-        snapshot["sessions"] = {
-            sid: session.stats()
-            for sid, session in self._sessions.items()
-        }
+        sessions = {sid: dict(rec) for sid, rec in self._closed.items()}
+        for sid, session in self._sessions.items():
+            sessions[sid] = session.stats()
+        snapshot["sessions"] = sessions
         return snapshot
 
     def prometheus(self) -> str:

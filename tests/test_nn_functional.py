@@ -1,11 +1,18 @@
-"""Gradient and shape tests of conv / deconv / pooling / batch norm."""
+"""Gradient and shape tests of conv / deconv / attention / pooling / batch
+norm."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ModelError
 from repro.nn import functional as F
-from repro.nn.tensor import Tensor
+from repro.nn.attention import (
+    FrameAttention,
+    SpatialAttention,
+    VelocityChannelAttention,
+)
+from repro.nn.inference import compile_model
+from repro.nn.tensor import Tensor, concat, no_grad
 
 from conftest import numeric_gradient
 
@@ -159,28 +166,177 @@ def test_subpixel_deconv_validates():
         F.conv_transpose2d(leaf((1, 2, 3, 3)), leaf((3, 2, 3, 3)), stride=0)
 
 
+def _direct_same_conv(x, w, b):
+    """Single-output "same" conv, one multiply-add per tap."""
+    k = w.shape[-1]
+    p = k // 2
+    n, _, h, wd = x.shape
+    pad = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    out = np.full((n, 1, h, wd), b[0])
+    for i in range(k):
+        for j in range(k):
+            out[:, 0] += np.einsum(
+                "c,nchw->nhw", w[0, :, i, j], pad[:, :, i:i + h, j:j + wd]
+            )
+    return out
+
+
 @pytest.mark.parametrize("kernel", [3, 5])
-def test_shifted_conv_matches_conv2d(kernel):
-    x = leaf((2, 2, 5, 6))
-    w = leaf((1, 2, kernel, kernel), seed=1)
-    b = leaf((1,), seed=2)
-    out = F.shifted_conv2d(x, w, b).data
-    ref = F.conv2d(x, w, b, padding=kernel // 2).data
-    assert np.abs(out - ref).max() <= 1e-12
+def test_banded_conv_matches_direct_conv(kernel):
+    rng = np.random.default_rng(kernel)
+    w = rng.normal(size=(1, 2, kernel, kernel))
+    b = rng.normal(size=1)
+    p = kernel // 2
+    for n in (1, 4, 64):
+        for width in (8, 32):
+            x = rng.normal(size=(n, 2, 5, width))
+            padded = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+            band = F.conv_band(w, width)
+            out = F.band_conv2d_raw(padded, band, kernel) + b
+            ref = _direct_same_conv(x, w, b)
+            assert np.abs(out.reshape(ref.shape) - ref).max() <= 1e-12
+            # Backward against the im2col conv's autograd.
+            g = rng.normal(size=ref.shape)
+            g_pad, g_band = F.band_conv2d_grads(
+                g.reshape(-1, width), padded, band, kernel
+            )
+            xt = Tensor(x, requires_grad=True)
+            wt = Tensor(w, requires_grad=True)
+            F.conv2d(xt, wt, padding=p).backward(g)
+            gx = g_pad[:, :, p:p + 5, p:p + width]
+            assert np.abs(gx - xt.grad).max() <= 1e-12
+            gw = F.conv_band_grad(g_band, kernel)
+            assert np.abs(gw - wt.grad).max() <= 1e-9
 
 
-def test_shifted_conv_gradients_numeric():
-    x = leaf((2, 2, 4, 5))
-    w = leaf((1, 2, 5, 5), seed=1)
-    b = leaf((1,), seed=2)
-    _grads_match_numeric(lambda: F.shifted_conv2d(x, w, b), [x, w, b])
+def test_spatial_attention_gradients_numeric():
+    w, b = leaf((1, 2, 3, 3), seed=1), leaf((1,), seed=2)
+    x = leaf((2, 3, 4, 5))
+    _grads_match_numeric(lambda: F.spatial_attention(x, w, b), [x, w, b])
+    # All-zero pixels across both channels: each is a two-way tied max,
+    # where central differences read the equal split.
+    tied = leaf((2, 2, 4, 5), seed=3)
+    tied.data[:, :, 1:3, 2] = 0.0
+    _grads_match_numeric(
+        lambda: F.spatial_attention(tied, w, b), [tied, w, b]
+    )
 
 
-def test_shifted_conv_validates():
+def test_channel_attention_gradients_numeric():
+    w, b = leaf((3, 6), seed=1), leaf((3,), seed=2)
+    x = leaf((2, 3, 3, 4))
+    _grads_match_numeric(lambda: F.channel_attention(x, w, b), [x, w, b])
+    # An all-zero 1x2 channel map: a two-way tied max.
+    tied = leaf((2, 3, 1, 2), seed=3)
+    tied.data[0, 1] = 0.0
+    _grads_match_numeric(
+        lambda: F.channel_attention(tied, w, b), [tied, w, b]
+    )
+
+
+def test_frame_attention_gradients_numeric():
+    params = [
+        leaf((4, 1, 3, 3), seed=1), leaf((4,), seed=2),
+        leaf((1, 4, 3, 3), seed=3), leaf((1,), seed=4),
+    ]
+    x = leaf((2, 3, 2, 3, 2))
+    _grads_match_numeric(lambda: F.frame_attention(x, *params), [x] + params)
+    # An all-zero two-value frame: a two-way tied max.
+    tied = leaf((2, 3, 1, 1, 2), seed=5)
+    tied.data[0, 1] = 0.0
+    _grads_match_numeric(
+        lambda: F.frame_attention(tied, *params), [tied] + params
+    )
+
+
+def _spatial_chain(x, w, b):
+    maps = concat(
+        [x.mean(axis=1, keepdims=True), x.max(axis=1, keepdims=True)], axis=1
+    )
+    return x * F.conv2d(maps, w, b, padding=w.shape[-1] // 2).sigmoid()
+
+
+def _channel_chain(x, w, b):
+    n, c = x.shape[:2]
+    features = concat([x.mean(axis=(2, 3)), x.max(axis=(2, 3))], axis=1)
+    weights = (features @ w.transpose() + b).sigmoid()
+    return x * weights.reshape(n, c, 1, 1)
+
+
+def _frame_chain(x, w1, b1, w2, b2):
+    b, st = x.shape[:2]
+    pooled = x.mean(axis=(2, 3, 4)) + x.max(axis=(2, 3, 4))
+    hidden = F.conv2d(pooled.reshape(b, 1, 1, st), w1, b1, padding=1).relu()
+    weights = F.conv2d(hidden, w2, b2, padding=1).sigmoid()
+    return x * weights.reshape(b, st, 1, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "kernel,chain,shape,param_shapes",
+    [
+        (F.spatial_attention, _spatial_chain, (3, 4, 6, 5),
+         [(1, 2, 5, 5), (1,)]),
+        (F.channel_attention, _channel_chain, (3, 4, 6, 5), [(4, 8), (4,)]),
+        (F.frame_attention, _frame_chain, (2, 4, 3, 4, 5),
+         [(4, 1, 3, 3), (4,), (1, 4, 3, 3), (1,)]),
+    ],
+    ids=["spatial", "channel", "frame"],
+)
+def test_attention_kernels_match_autograd_chain_on_ties(
+    kernel, chain, shape, param_shapes
+):
+    # Post-ReLU input with an all-zero channel map, all-zero pixels
+    # across channels and an all-zero frame: many-way ties at 0, which
+    # must split the max gradient exactly as Tensor.max does.
+    data = np.maximum(np.random.default_rng(7).normal(size=shape), 0.0)
+    data[0, 1] = 0.0
+    data[1, ..., 2, :] = 0.0
+    params = [leaf(s, seed=i + 1) for i, s in enumerate(param_shapes)]
+    proj = np.random.default_rng(8).normal(size=shape)
+    grads = []
+    for fn in (kernel, chain):
+        x = Tensor(data.copy(), requires_grad=True)
+        for p in params:
+            p.grad = None
+        out = fn(x, *params)
+        (out * Tensor(proj)).sum().backward()
+        grads.append([out.data, x.grad] + [p.grad for p in params])
+    # The chain's means scale by a float32 1/count, hence 1e-6 and not
+    # float64 round-off; a wrong tie split is off by O(1).
+    for got, want in zip(*grads):
+        assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+
+
+def test_attention_kernels_validate():
     with pytest.raises(ModelError):
-        F.shifted_conv2d(leaf((1, 2, 4, 4)), leaf((2, 2, 3, 3)), leaf((1,)))
+        F.spatial_attention(leaf((1, 2, 4, 4)), leaf((2, 2, 3, 3)),
+                            leaf((1,)))
     with pytest.raises(ModelError):
-        F.shifted_conv2d(leaf((1, 2, 4, 4)), leaf((1, 2, 4, 4)), leaf((1,)))
+        F.spatial_attention(leaf((1, 2, 4, 4)), leaf((1, 2, 4, 4)),
+                            leaf((1,)))
+    with pytest.raises(ModelError):
+        F.channel_attention(leaf((1, 2, 4, 4)), leaf((2, 2)), leaf((2,)))
+    with pytest.raises(ModelError):
+        F.frame_attention(leaf((1, 2, 4, 4)), *[leaf((1,))] * 4)
+
+
+@pytest.mark.parametrize("batch", [1, 16])
+def test_attention_plans_match_eager(batch):
+    rng = np.random.default_rng(batch)
+    cases = [
+        (FrameAttention(4, rng=rng), [(batch, 4, 3, 8, 8)]),
+        (VelocityChannelAttention(3, rng=rng), [(4 * batch, 3, 8, 8)]),
+        # Two widths: the plan keeps one band per input width.
+        (SpatialAttention(rng=rng), [(4 * batch, 3, 8, 16),
+                                     (4 * batch, 3, 8, 8)]),
+    ]
+    for module, shapes in cases:
+        plan = compile_model(module.eval())
+        for shape in shapes:
+            x = np.maximum(rng.normal(size=shape), 0.0).astype(np.float32)
+            with no_grad():
+                eager = module(Tensor(x)).data
+            assert float(np.abs(plan.run(x) - eager).max()) <= 1e-5
 
 
 def test_pointwise_conv_matches_channel_gemm():

@@ -45,6 +45,26 @@ def test_compiled_predict_matches_eager(regressor, small_dsp, rng):
     assert float(np.abs(compiled - eager).max()) <= 1e-5
 
 
+def test_compiled_predict_skips_the_mode_walk(
+    regressor, small_dsp, rng, monkeypatch
+):
+    # The plan never reads the training flag, so only the eager path
+    # walks the module tree into eval mode (and back).
+    x = _segments(rng, small_dsp, batch=2)
+    regressor.train()
+    walks = []
+    eval_ = HandJointRegressor.eval
+    monkeypatch.setattr(
+        HandJointRegressor, "eval",
+        lambda self: walks.append("eval") or eval_(self),
+    )
+    compiled = regressor.predict(x)
+    assert walks == [] and regressor.training
+    eager = regressor.predict(x, use_compiled=False)
+    assert walks == ["eval"] and regressor.training
+    assert float(np.abs(compiled - eager).max()) <= 1e-5
+
+
 def test_compiled_run_matches_forward(regressor, small_dsp, rng):
     x = _segments(rng, small_dsp, batch=3)
     regressor.eval()
@@ -118,7 +138,7 @@ def test_conv_transpose_bn_folding_matches_eager(rng):
 def test_attention_residual_block_compiled_matches_eager(batch, rng):
     # One block covers every shared conv kernel: the 1x1 preserve conv,
     # strided 3x3 convs, sub-pixel transposed convs (BN folded) and the
-    # shifted-tap spatial-attention conv.
+    # banded spatial-attention conv.
     block = AttentionResidualBlock(8, depth=2, rng=np.random.default_rng(4))
     block(Tensor(rng.normal(size=(4, 8, 16, 16)).astype(np.float32)))
     block.eval()  # the training pass above left non-trivial BN stats

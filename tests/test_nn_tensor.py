@@ -160,7 +160,7 @@ def test_mean_gradient():
     assert np.allclose(x.grad, 1.0 / 5)
 
 
-def test_max_splits_ties():
+def test_max_splits_ties(monkeypatch):
     x = leaf([[1.0, 1.0, 0.0]])
     x.max(axis=1).sum().backward()
     assert np.allclose(x.grad, [[0.5, 0.5, 0.0]])
@@ -173,6 +173,21 @@ def test_max_splits_ties():
     assert np.allclose(
         y.grad, [[[third, 0.0], [third, third]], [[0.0, 1.0], [0.0, 0.0]]]
     )
+    # A float32 input is handed a float32 gradient with the same split:
+    # integer tie counts would promote it to float64 (and _accumulate
+    # would copy it back).
+    handed = []
+    accumulate = Tensor._accumulate
+
+    def spy(tensor, grad):
+        handed.append(grad.dtype)
+        accumulate(tensor, grad)
+
+    monkeypatch.setattr(Tensor, "_accumulate", spy)
+    z = Tensor(y.data.astype(np.float32), requires_grad=True)
+    z.max(axis=(1, 2)).sum().backward()
+    assert handed and set(handed) == {np.dtype(np.float32)}
+    assert np.allclose(z.grad, y.grad)
 
 
 def test_reshape_transpose_roundtrip_gradient():

@@ -32,6 +32,7 @@ from repro.serving import (
     Session,
     segment_key,
 )
+from repro.serving.server import CLOSED_SESSION_RECORDS
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +164,46 @@ def test_server_session_limit(stack):
     server.open_session()
     with pytest.raises(ServingError):
         server.open_session()
+
+
+def test_server_churn_keeps_state_bounded(stack):
+    """Close drops the session; only the last CLOSED_SESSION_RECORDS
+    final stats stay, and every window is still a result or a drop."""
+    builder, regressor = stack
+    server = InferenceServer(
+        builder, regressor,
+        ServingConfig(max_batch_size=4, max_sessions=2, enable_cache=False),
+    )
+    dsp = builder.dsp
+    cube = np.random.default_rng(0).normal(
+        size=(dsp.doppler_bins, dsp.range_bins, dsp.angle_bins_total)
+    )
+    windows = results = dropped = 0
+    for i in range(500):
+        sid = server.open_session()
+        for _ in range(dsp.segment_frames + i % 3):
+            server.submit_cube(sid, cube)
+        if i % 2:
+            server.step()  # the rest are purged by the close
+        server.close_session(sid)
+        final = server.session_stats(sid)
+        assert final["closed"]
+        assert final["segments_out"] == final["results_out"] + final["dropped"]
+        windows += final["segments_out"]
+        results += final["results_out"]
+        dropped += final["dropped"]
+        assert len(server._sessions) == 0
+    assert dropped > 0 and results > 0
+    assert windows == results + dropped
+    stats = server.stats()
+    assert stats["counters"]["poses"] == results
+    assert stats["counters"]["sessions_closed"] == 500
+    assert len(stats["sessions"]) == CLOSED_SESSION_RECORDS
+    assert sid in stats["sessions"]
+    with pytest.raises(SessionClosedError):
+        server.submit_cube(sid, cube)
+    server.close_session(sid)  # closing twice is a no-op
+    assert server.stats()["counters"]["sessions_closed"] == 500
 
 
 # ----------------------------------------------------------------------

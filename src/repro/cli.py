@@ -24,7 +24,7 @@ Subcommands cover the common workflows end to end:
   OBJ/SVG files;
 * ``mmhand plan export|verify`` -- write / check a portable
   compiled-plan artifact (folded weights, static memory plans) that
-  servers and gateway workers load instead of retracing the network;
+  servers and gateway workers load instead of recording the network;
 * ``mmhand gateway-trace`` -- smoke-run the gateway with distributed
   tracing on and export ONE merged Chrome trace whose worker-side
   spans are parented, across the process boundary, to their
@@ -1267,6 +1267,7 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_plan_export(args) -> int:
+    from repro.errors import InferenceCompileError
     from repro.nn.serialization import regressor_config_meta, save_plan
     from repro.core.regressor import HandJointRegressor
     from repro.perf.model_bench import bench_configs
@@ -1282,12 +1283,8 @@ def _cmd_plan_export(args) -> int:
         load_state(regressor, args.weights)
     regressor.eval()
     compiled = regressor.compiled()
-    if compiled is None:
-        print("model failed to compile; nothing to export",
-              file=sys.stderr)
-        return 1
-    # Warm the static memory plan the artifact should carry: the
-    # signature of the serving batch size.
+    # Record the plan, with the static memory plan of the serving batch
+    # size that the artifact should carry.
     rng = np.random.default_rng(args.seed)
     warm = regressor.normalize_inputs(
         rng.normal(
@@ -1297,7 +1294,12 @@ def _cmd_plan_export(args) -> int:
             )
         ).astype(np.float32)
     )
-    compiled.run(warm)
+    try:
+        compiled.run(warm)
+    except InferenceCompileError as error:
+        print(f"model failed to compile ({error}); nothing to export",
+              file=sys.stderr)
+        return 1
     json_path, npz_path = save_plan(
         compiled, args.prefix,
         config=regressor_config_meta(

@@ -113,38 +113,6 @@ class AttentionResidualBlock(Module):
             out = self.spatial_attention(out)
         return out
 
-    def compile_plan(self, builder, reg: int) -> int:
-        """Append this block's ops to a :mod:`repro.nn.inference` plan."""
-        depth_factor = 2 ** len(self.down.layers[::3])
-
-        def check(shape) -> None:
-            if len(shape) != 4:
-                raise ModelError(
-                    f"residual block expects (N, C, H, W), got {shape}"
-                )
-            h, w = shape[2], shape[3]
-            if h % depth_factor or w % depth_factor:
-                raise ModelError(
-                    f"spatial size {h}x{w} must be divisible by "
-                    f"{depth_factor} for the hourglass branch"
-                )
-
-        reg = builder.check_shape(
-            reg, check,
-            spec={
-                "ndim": 4,
-                "div": [[2, depth_factor], [3, depth_factor]],
-            },
-        )
-        preserved = builder.conv(reg, self.preserve)
-        deep = builder.sequential(builder.sequential(reg, self.down), self.up)
-        out = builder.add_relu(preserved, deep)
-        if self.channel_attention is not None:
-            out = builder.module(out, self.channel_attention)
-        if self.spatial_attention is not None:
-            out = builder.module(out, self.spatial_attention)
-        return out
-
 
 class MmSpaceNet(Module):
     """Spatial feature extractor over radar cube segments.
@@ -238,62 +206,3 @@ class MmSpaceNet(Module):
             flat = features.reshape(b * st, self._head_features)
             out = self.head_fc(flat).relu()
             return out.reshape(b, st, self.model_config.feature_dim)
-
-    def compile_plan(self, builder, reg: int) -> int:
-        """Append the full spatial network to an inference plan.
-
-        Mirrors :meth:`forward` op for op (single-segment promotion,
-        shape validation, attention stages, stem/blocks/head) with the
-        Conv+BN+ReLU groups inside fused by the builder.
-        """
-        dsp = self.dsp
-
-        def promote(shape):
-            return (1, *shape) if len(shape) == 4 else shape
-
-        def check(shape) -> None:
-            if len(shape) != 5:
-                raise ModelError(
-                    f"MmSpaceNet expects (B, st, V, D, A) or a single "
-                    f"(st, V, D, A) segment, got {shape}"
-                )
-            st, v = shape[1], shape[2]
-            if st != dsp.segment_frames or v != dsp.doppler_bins:
-                raise ModelError(
-                    "input segment does not match the DSP configuration: "
-                    f"got st={st}, V={v}; expected "
-                    f"st={dsp.segment_frames}, V={dsp.doppler_bins}"
-                )
-
-        reg = builder.reshape(reg, promote, spec=("promote4",))
-        reg = builder.check_shape(
-            reg, check,
-            spec={
-                "ndim": 5,
-                "eq": [[1, dsp.segment_frames], [2, dsp.doppler_bins]],
-            },
-        )
-        if self.frame_attention is not None:
-            reg = builder.module(reg, self.frame_attention)
-        reg = builder.reshape(
-            reg, lambda s: (s[0] * s[1], s[2], s[3], s[4]),
-            spec=("merge01",),
-        )
-        if self.input_velocity_attention is not None:
-            reg = builder.module(reg, self.input_velocity_attention)
-        if self.input_spatial_attention is not None:
-            reg = builder.module(reg, self.input_spatial_attention)
-        reg = builder.sequential(reg, self.stem)
-        reg = builder.sequential(reg, self.blocks)
-        reg = builder.sequential(reg, self.head_convs)
-        head_features = self._head_features
-        reg = builder.reshape(
-            reg, lambda s: (s[0], head_features),
-            spec=("tail", head_features),
-        )
-        reg = builder.linear(reg, self.head_fc, relu=True)
-        st, feature_dim = dsp.segment_frames, self.model_config.feature_dim
-        return builder.reshape(
-            reg, lambda s: (s[0] // st, st, feature_dim),
-            spec=("split0", st, feature_dim),
-        )

@@ -74,39 +74,20 @@ class HandJointRegressor(Module):
             return out.reshape(out.shape[0], joints, 3)
 
     # ------------------------------------------------------------------
-    def compile_plan(self, builder, reg: int) -> int:
-        """Append the whole network to a :mod:`repro.nn.inference` plan."""
-
-        def promote(shape):
-            return (1, *shape) if len(shape) == 4 else shape
-
-        reg = builder.reshape(reg, promote, spec=("promote4",))
-        reg = self.spatial.compile_plan(builder, reg)
-        reg = self.temporal.compile_plan(builder, reg)
-        reg = builder.sequential(reg, self.head)
-        joints = self.model_config.num_joints
-        return builder.reshape(
-            reg, lambda s: (s[0], joints, 3), spec=("tail", joints, 3)
-        )
-
     def compiled(self) -> Optional[CompiledModel]:
         """The cached autograd-free plan for this network (or ``None``).
 
-        Compiled lazily on first use; a model the compiler cannot handle
-        is remembered as uncompilable so every later call falls straight
-        through to the eager forward.
+        Created on first use and recorded from :meth:`forward` on its
+        first run; a model whose recording failed is remembered as
+        uncompilable so every later call falls straight through to the
+        eager forward.
         """
-        cached = getattr(self, "_compiled_plan", None)
-        if cached is not None:
-            return cached
         if getattr(self, "_compile_failed", False):
             return None
-        try:
+        plan = getattr(self, "_compiled_plan", None)
+        if plan is None:
             plan = compile_model(self)
-        except InferenceCompileError:
-            object.__setattr__(self, "_compile_failed", True)
-            return None
-        object.__setattr__(self, "_compiled_plan", plan)
+            object.__setattr__(self, "_compiled_plan", plan)
         return plan
 
     # ------------------------------------------------------------------
@@ -176,28 +157,40 @@ class HandJointRegressor(Module):
             # the cache) regresses to an empty prediction.
             return np.zeros((0, joints, 3), dtype=np.float32)
         plan = self.compiled() if use_compiled else None
-        # The plan folds BN from running statistics and never reads the
-        # training flag, so only the eager forward switches to eval mode
-        # (a walk over every module).
-        was_training = self.training and plan is None
-        if plan is None:
-            self.eval()
-        outputs = []
+        if plan is not None:
+            # The plan folds BN from running statistics and never reads
+            # the training flag, so only the eager forward switches to
+            # eval mode (a walk over every module).
+            try:
+                return self._predict_batches(
+                    segments, batch_size, plan.run, compiled=True
+                )
+            except InferenceCompileError:
+                object.__setattr__(self, "_compile_failed", True)
+                object.__setattr__(self, "_compiled_plan", None)
+        was_training = self.training
+        self.eval()
         try:
-            with no_grad(), trace.span(
-                "model.predict", segments=len(segments),
-                compiled=plan is not None,
-            ):
-                for start in range(0, len(segments), batch_size):
-                    batch = self.normalize_inputs(
-                        segments[start : start + batch_size]
-                    )
-                    if plan is not None:
-                        pred = plan.run(batch)
-                    else:
-                        pred = self.forward(Tensor(batch)).data
-                    outputs.append(self.denormalize_labels(pred))
+            return self._predict_batches(
+                segments, batch_size,
+                lambda batch: self.forward(Tensor(batch)).data,
+                compiled=False,
+            )
         finally:
             if was_training:
                 self.train()
+
+    def _predict_batches(
+        self, segments: np.ndarray, batch_size: int, forward,
+        compiled: bool,
+    ) -> np.ndarray:
+        outputs = []
+        with no_grad(), trace.span(
+            "model.predict", segments=len(segments), compiled=compiled
+        ):
+            for start in range(0, len(segments), batch_size):
+                batch = self.normalize_inputs(
+                    segments[start : start + batch_size]
+                )
+                outputs.append(self.denormalize_labels(forward(batch)))
         return np.concatenate(outputs, axis=0)

@@ -45,19 +45,3 @@ class TemporalModel(Module):
         with trace.span("model.temporal.lstm", batch=x.shape[0]):
             _, (hidden, _) = self.lstm(x)
             return hidden
-
-    def compile_plan(self, builder, reg: int) -> int:
-        """Append the LSTM to a :mod:`repro.nn.inference` plan."""
-        feature_dim = self.model_config.feature_dim
-
-        def check(shape) -> None:
-            if len(shape) != 3 or shape[2] != feature_dim:
-                raise ModelError(
-                    f"TemporalModel expects (B, st, {feature_dim}), "
-                    f"got {shape}"
-                )
-
-        reg = builder.check_shape(
-            reg, check, spec={"ndim": 3, "eq": [[2, feature_dim]]}
-        )
-        return builder.lstm(reg, self.lstm)

@@ -107,7 +107,7 @@ class GatewayConfig:
     seed: int = 0
     weights_path: Optional[str] = None
     # Pre-compiled plan artifact (``mmhand plan export``); workers load
-    # it at spawn instead of retracing/refolding the network.
+    # it at spawn instead of recording/refolding the network.
     plan_path: Optional[str] = None
     # Chaos passthrough (worker-local fault injectors).
     chaos_frame_rate: float = 0.0

@@ -35,7 +35,6 @@ from repro.nn.serialization import save_state, load_state
 from repro.nn.inference import (
     CompiledModel,
     ForwardPlan,
-    PlanBuilder,
     compile_model,
 )
 
@@ -69,6 +68,5 @@ __all__ = [
     "load_state",
     "CompiledModel",
     "ForwardPlan",
-    "PlanBuilder",
     "compile_model",
 ]

@@ -804,6 +804,32 @@ def frame_attention(
     return Tensor._make(out, (x,) + params, backward)
 
 
+def batch_norm_affine(
+    gamma: np.ndarray, beta: np.ndarray, mean: np.ndarray,
+    var: np.ndarray, eps: float,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Eval-mode batch norm as a per-channel affine ``x*scale + shift``."""
+    scale = gamma / np.sqrt(var + eps)
+    return scale, beta - mean * scale
+
+
+def batch_norm2d_raw(
+    x: np.ndarray, scale: np.ndarray, shift: np.ndarray,
+    arena=FRESH, key: Tuple = (), epilogue: Epilogue = None,
+) -> np.ndarray:
+    """Eval-mode batch norm ``x*scale + shift`` per NCHW channel (see
+    :func:`batch_norm_affine`), then ``epilogue`` in place."""
+    c = x.shape[1]
+    out = arena.get(
+        key + ("out",), x.shape, np.result_type(x.dtype, scale.dtype)
+    )
+    np.multiply(x, scale.reshape(1, c, 1, 1), out=out)
+    out += shift.reshape(1, c, 1, 1)
+    if epilogue is not None:
+        epilogue(out)
+    return out
+
+
 def batch_norm2d(
     x: Tensor,
     gamma: Tensor,
@@ -818,30 +844,39 @@ def batch_norm2d(
     ``mean`` / ``var`` are per-channel statistics (batch statistics in
     training, running statistics in eval); ``batch_stats`` selects the
     backward formula (batch statistics depend on ``x``, running ones do
-    not). Fusing the op avoids the long elementwise autograd chains the
-    naive formulation creates.
+    not); with running statistics the forward is the plan's kernel,
+    :func:`batch_norm2d_raw`. Fusing the op avoids the long elementwise
+    autograd chains the naive formulation creates.
     """
     if x.ndim != 4:
         raise ModelError("batch_norm2d expects NCHW input")
     n, c, h, w = x.shape
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = x.data - mean.reshape(1, c, 1, 1)
-    xhat *= inv_std.reshape(1, c, 1, 1)
-    out_data = xhat * gamma.data.reshape(1, c, 1, 1)
-    out_data += beta.data.reshape(1, c, 1, 1)
+    inv_std = (1.0 / np.sqrt(var + eps)).reshape(1, c, 1, 1)
+    mean4 = mean.reshape(1, c, 1, 1)
+    if batch_stats:
+        xhat = x.data - mean4
+        xhat *= inv_std
+        out_data = xhat * gamma.data.reshape(1, c, 1, 1)
+        out_data += beta.data.reshape(1, c, 1, 1)
+    else:
+        xhat = None  # recomputed in backward if gamma needs it
+        out_data = batch_norm2d_raw(
+            x.data, *batch_norm_affine(gamma.data, beta.data, mean, var, eps)
+        )
     m = n * h * w
 
     def backward(grad: np.ndarray) -> None:
+        xh = xhat if xhat is not None else (x.data - mean4) * inv_std
         sum_g = grad.sum(axis=(0, 2, 3))
-        sum_gx = np.einsum("nchw,nchw->c", grad, xhat)
+        sum_gx = np.einsum("nchw,nchw->c", grad, xh)
         if gamma.requires_grad:
             gamma._accumulate(sum_gx)
         if beta.requires_grad:
             beta._accumulate(sum_g)
         if x.requires_grad:
-            scale = (gamma.data * inv_std).reshape(1, c, 1, 1)
+            scale = gamma.data.reshape(1, c, 1, 1) * inv_std
             if batch_stats:
-                gx = xhat * (-sum_gx / m).reshape(1, c, 1, 1)
+                gx = xh * (-sum_gx / m).reshape(1, c, 1, 1)
                 gx += grad
                 gx -= (sum_g / m).reshape(1, c, 1, 1)
                 gx *= scale

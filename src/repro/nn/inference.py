@@ -1,45 +1,34 @@
-"""Compiled autograd-free inference plans.
+"""Compiled autograd-free inference plans, recorded from the eager forward.
 
-:func:`compile_model` traces a :class:`~repro.nn.layers.Module` into a
-flat :class:`ForwardPlan` of raw-ndarray ops -- no per-op ``Tensor``
-allocation, no parent tuples, no backward closures. The compiler applies
-the classic serving-side optimisations:
+:func:`compile_model` wraps a :class:`~repro.nn.layers.Module` in a
+:class:`CompiledModel`. Its first call for an input shape runs the
+module's own ``forward()`` once under :func:`~repro.nn.tensor.no_grad`
+with a recorder at the choke point every layer passes,
+``Module.__call__``:
 
-* **Conv+BN folding** -- an eval-mode ``BatchNorm2d`` following a
-  ``Conv2d`` / ``ConvTranspose2d`` collapses into the conv's weights and
-  bias (``W' = W * gamma/sqrt(var+eps)``, ``b' = (b-mean)*scale+beta``);
-  transposed convs then store the folded kernel in sub-pixel form;
-* **ReLU/sigmoid fusion** -- activations run in place on the GEMM output
-  instead of allocating a fresh array per op;
-* **pre-flattened weights** -- conv kernels are stored as contiguous
-  ``(O, C*kh*kw)`` GEMM operands and linear/LSTM weights pre-transposed;
-  the conv and attention ops run the same raw kernels as eager autograd
-  (:mod:`repro.nn.functional`), with arena buffers;
-* **static memory planning** -- a probe execution records every scratch
-  request, a liveness pass computes each buffer's ``[first, last]`` op
-  interval, and greedy interval-graph coloring packs the buffers into a
-  small set of reused slabs (:class:`MemoryPlan` / :class:`PlannedArena`),
-  typically a large cut versus one buffer per request.
+* a lowered module (conv, transposed conv, batch norm, linear, ReLU,
+  dropout, the attention layers, the LSTM) appends its plan op, a
+  raw-ndarray step over numbered registers;
+* any other module runs its own ``forward()``, whose shape checks
+  validate the input (a wrong shape raises the eager ``ModelError``);
+* ``Tensor.reshape`` and ``relu(a + b)`` record glue ops; any other
+  Tensor op on a recorded value raises
+  :class:`~repro.errors.InferenceCompileError` and callers fall back to
+  the eager forward.
 
-A plan runs in float32 on the calling thread; processes (the gateway's
-workers) are the unit of parallelism.
+A conv, linear or batch norm op waits as *pending* so that a following
+eval-mode batch norm folds into the conv's weights and a ReLU becomes
+its in-place epilogue. The ops run on a recording arena as they leave
+that state, so the recording run is also the static-memory-plan probe
+(:class:`MemoryPlan`, :class:`PlannedArena`), and its output is the
+first call's result. Reshapes record the batch dim as ``-1``: one
+recording serves every batch size of its per-sample shape.
 
-Folded weights are memoized against the sum of the source parameters'
-:attr:`~repro.nn.tensor.Tensor.version` counters (bumped by optimizer
-steps and ``load_state_dict``), so a live trainer and a serving plan can
-share one module: the next compiled call after a weight update refolds.
-
-Plans are also *portable*: every op exposes ``export_state`` /
-``restore`` so :mod:`repro.nn.serialization` can write a compiled plan
-(ops, folded weights, memory plans) to a versioned on-disk
-artifact and rebuild a detached :class:`CompiledModel` in another
-process without retracing or refolding.
-
-Composite modules (the mmSpaceNet residual blocks, the regressor, ...)
-participate by defining ``compile_plan(self, builder, reg) -> reg``;
-anything the compiler cannot handle raises
-:class:`~repro.errors.InferenceCompileError` and callers fall back to
-the eager forward under :func:`~repro.nn.tensor.no_grad`.
+Folded weights are memoized against the source parameters'
+:attr:`~repro.nn.tensor.Tensor.version` counters, so a live trainer and
+a serving plan can share one module. :mod:`repro.nn.serialization`
+writes a recorded plan to a versioned artifact and restores it as a
+detached :class:`CompiledModel`. DESIGN.md section 6 has the details.
 """
 
 from __future__ import annotations
@@ -47,11 +36,11 @@ from __future__ import annotations
 import threading
 import time
 import weakref
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import InferenceCompileError, ModelError, SerializationError
+from repro.errors import InferenceCompileError, ModelError
 from repro.nn.attention import (
     FrameAttention,
     SpatialAttention,
@@ -66,53 +55,12 @@ from repro.nn.layers import (
     Linear,
     Module,
     ReLU,
-    Sequential,
-    Sigmoid,
-    Tanh,
+    recording,
 )
 from repro.nn.rnn import LSTM
+from repro.nn.tensor import Tensor, no_grad
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace
-
-
-def _reshape_fn_from_spec(spec) -> Callable:
-    """Rebuild a reshape's shape function from its declarative spec."""
-    kind, args = spec[0], tuple(spec[1:])
-    if kind == "promote4":
-        return lambda s: (1, *s) if len(s) == 4 else tuple(s)
-    if kind == "merge01":
-        return lambda s: (s[0] * s[1], *s[2:])
-    if kind == "tail":
-        return lambda s: (s[0], *args)
-    if kind == "split0":
-        return lambda s: (s[0] // args[0], *args)
-    raise SerializationError(f"unknown reshape spec {list(spec)!r}")
-
-
-def _check_fn_from_spec(spec: Dict[str, Any]) -> Callable:
-    """Rebuild a shape-check function from its declarative spec."""
-    ndim = spec.get("ndim")
-    eq = [tuple(pair) for pair in spec.get("eq", [])]
-    div = [tuple(pair) for pair in spec.get("div", [])]
-
-    def check(shape: Tuple[int, ...]) -> None:
-        if ndim is not None and len(shape) != ndim:
-            raise ModelError(
-                f"plan expects a rank-{ndim} input, got {shape}"
-            )
-        for axis, want in eq:
-            if shape[axis] != want:
-                raise ModelError(
-                    f"plan expects shape[{axis}] == {want}, got {shape}"
-                )
-        for axis, factor in div:
-            if shape[axis] % factor:
-                raise ModelError(
-                    f"plan expects shape[{axis}] divisible by {factor}, "
-                    f"got {shape}"
-                )
-
-    return check
 
 
 # ----------------------------------------------------------------------
@@ -121,22 +69,22 @@ def _check_fn_from_spec(spec: Dict[str, Any]) -> Callable:
 class PlanOp:
     """One flat step of a forward plan: read ``src`` regs, write ``dst``.
 
-    Ops are *portable*: ``export_state`` emits the scalar attrs named in
-    ``export_attrs`` plus the folded-weight arrays named in
-    ``export_arrays``, and ``restore`` rebuilds a detached op from them.
-    Detached ops hold no live module references, so ``refold`` is a
-    no-op and the op never tracks parameter versions.
+    ``fold`` computes the op's weights from its source ``module``.
+    Ops are *portable*: ``export_state`` emits the attrs named in
+    ``export_attrs`` plus the folded arrays named in ``export_arrays``,
+    and ``restore`` rebuilds a detached op (``module=None``, so
+    ``refold`` is a no-op) from them.
     """
 
     name = "op"
     export_attrs: Tuple[str, ...] = ()
     export_arrays: Tuple[str, ...] = ()
 
-    def __init__(self, op_id: int, src: int, dst: int) -> None:
+    def __init__(self, op_id: int, src: int, dst: int, module=None) -> None:
         self.op_id = op_id
         self.src = src
         self.dst = dst
-        self._detached = False
+        self.module = module
 
     def reads(self) -> Tuple[int, ...]:
         """Registers this op reads (used by the liveness analysis)."""
@@ -144,49 +92,36 @@ class PlanOp:
 
     def refold(self) -> None:
         """Recompute folded weights from the live source parameters."""
+        if self.module is not None:
+            self.fold()
 
-    def run(self, regs: List, arena) -> None:
+    def fold(self) -> None:
+        """Compute the op's arrays from ``self.module``."""
+
+    def run(self, regs, arena) -> None:
         raise NotImplementedError
 
     # -- portability ----------------------------------------------------
     def export_state(self) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
-        self._check_exportable()
-        meta: Dict[str, Any] = {
-            "type": self.name,
-            "op_id": self.op_id,
-            "src": self.src,
-            "dst": self.dst,
-        }
-        for attr in self.export_attrs:
-            meta[attr] = getattr(self, attr)
-        arrays = {}
-        for attr in self.export_arrays:
-            val = getattr(self, attr)
-            if val is not None:
-                arrays[attr] = val
-        return meta, arrays
-
-    def _check_exportable(self) -> None:
-        """Hook for ops that need extra state to be serializable."""
+        meta = {"type": self.name, "op_id": self.op_id, "src": self.src,
+                "dst": self.dst}
+        meta.update((a, getattr(self, a)) for a in self.export_attrs)
+        arrays = {a: getattr(self, a) for a in self.export_arrays}
+        return meta, {a: v for a, v in arrays.items() if v is not None}
 
     @classmethod
     def restore(
         cls, meta: Dict[str, Any], arrays: Dict[str, np.ndarray]
     ) -> "PlanOp":
         op = cls.__new__(cls)
-        op.op_id = int(meta["op_id"])
-        op.src = int(meta["src"])
-        op.dst = int(meta["dst"])
-        op._detached = True
+        PlanOp.__init__(op, int(meta["op_id"]), int(meta["src"]),
+                        int(meta["dst"]))
         for attr in cls.export_attrs:
-            setattr(op, attr, meta[attr])
+            val = meta[attr]
+            setattr(op, attr, tuple(val) if isinstance(val, list) else val)
         for attr in cls.export_arrays:
             setattr(op, attr, arrays.get(attr))
-        op._finish_restore(meta)
         return op
-
-    def _finish_restore(self, meta: Dict[str, Any]) -> None:
-        """Hook to null module refs / rebuild derived callables."""
 
 
 def _fold_conv(
@@ -195,54 +130,34 @@ def _fold_conv(
     """Pre-flattened GEMM weight and bias column, with BN folded in."""
     w = conv.weight.data
     o = w.shape[0]
-    b = (
-        conv.bias.data
-        if conv.bias is not None
-        else np.zeros(o, dtype=w.dtype)
-    )
+    b = conv.bias.data if conv.bias is not None else np.zeros(o, w.dtype)
     if bn is not None:
-        scale = bn.gamma.data / np.sqrt(bn.running_var + bn.eps)
+        scale, shift = F.batch_norm_affine(
+            bn.gamma.data, bn.beta.data, bn.running_mean, bn.running_var,
+            bn.eps,
+        )
         w = w * scale[:, None, None, None]
-        b = (b - bn.running_mean) * scale + bn.beta.data
+        b = b * scale + shift
     w_flat = np.ascontiguousarray(w.reshape(o, -1))
     return w_flat, np.ascontiguousarray(b.reshape(o, 1))
 
 
 class ConvOp(PlanOp):
-    """Conv2d with pre-flattened weights, folded BN, fused activation."""
+    """Conv2d with pre-flattened weights, folded BN, fused ReLU."""
 
     name = "conv2d"
     export_attrs = ("kh", "kw", "stride", "padding", "relu")
     export_arrays = ("w_flat", "bias_col")
+    bn: Optional[BatchNorm2d] = None  # folded in while recording
+    relu = False
 
-    def __init__(
-        self,
-        op_id: int,
-        src: int,
-        dst: int,
-        conv: Conv2d,
-        bn: Optional[BatchNorm2d] = None,
-        relu: bool = False,
-    ) -> None:
-        super().__init__(op_id, src, dst)
-        self.conv = conv
-        self.bn = bn
-        self.relu = relu
+    def fold(self) -> None:
+        conv = self.module
         self.kh, self.kw = conv.weight.data.shape[2:]
-        self.stride = conv.stride
-        self.padding = conv.padding
-        self.refold()
+        self.stride, self.padding = conv.stride, conv.padding
+        self.w_flat, self.bias_col = _fold_conv(conv, self.bn)
 
-    def refold(self) -> None:
-        if self._detached:
-            return
-        self.w_flat, self.bias_col = _fold_conv(self.conv, self.bn)
-
-    def _finish_restore(self, meta: Dict[str, Any]) -> None:
-        self.conv = None
-        self.bn = None
-
-    def run(self, regs: List, arena) -> None:
+    def run(self, regs, arena) -> None:
         regs[self.dst], _ = F.conv2d_raw(
             regs[self.src], self.w_flat, self.bias_col, self.kh, self.kw,
             self.stride, self.padding, arena, (self.op_id,),
@@ -261,33 +176,16 @@ class ConvTransposeOp(ConvOp):
     name = "conv_transpose2d"
     export_attrs = ("kernel", "stride", "relu")
 
-    def __init__(
-        self,
-        op_id: int,
-        src: int,
-        dst: int,
-        deconv: ConvTranspose2d,
-        bn: Optional[BatchNorm2d] = None,
-        relu: bool = False,
-    ) -> None:
-        PlanOp.__init__(self, op_id, src, dst)
-        self.conv = deconv.conv
-        self.bn = bn
-        self.relu = relu
-        self.kernel = deconv.conv.weight.data.shape[2]
-        self.stride = deconv.stride
-        self.refold()
-
-    def refold(self) -> None:
-        if self._detached:
-            return
-        w_flat, bias_col = _fold_conv(self.conv, self.bn)
+    def fold(self) -> None:
+        conv, self.stride = self.module.conv, self.module.stride
+        self.kernel = conv.weight.data.shape[2]
+        w_flat, bias_col = _fold_conv(conv, self.bn)
         self.w_flat = F.subpixel_weight(
-            w_flat.reshape(self.conv.weight.data.shape), self.stride
+            w_flat.reshape(conv.weight.data.shape), self.stride
         )
         self.bias_col = np.tile(bias_col, (self.stride ** 2, 1))
 
-    def run(self, regs: List, arena) -> None:
+    def run(self, regs, arena) -> None:
         regs[self.dst], _ = F.conv_transpose2d_raw(
             regs[self.src], self.w_flat, self.bias_col, self.kernel,
             self.stride, arena, (self.op_id,),
@@ -301,61 +199,31 @@ class BatchNormOp(PlanOp):
     name = "batch_norm2d"
     export_attrs = ("relu",)
     export_arrays = ("scale", "shift")
+    relu = False
 
-    def __init__(
-        self, op_id: int, src: int, dst: int, bn: BatchNorm2d,
-        relu: bool = False,
-    ) -> None:
-        super().__init__(op_id, src, dst)
-        self.bn = bn
-        self.relu = relu
-        self.refold()
+    def fold(self) -> None:
+        bn = self.module
+        self.scale, self.shift = F.batch_norm_affine(
+            bn.gamma.data, bn.beta.data, bn.running_mean, bn.running_var,
+            bn.eps,
+        )
 
-    def refold(self) -> None:
-        if self._detached:
-            return
-        bn = self.bn
-        inv_std = 1.0 / np.sqrt(bn.running_var + bn.eps)
-        self.scale = (bn.gamma.data * inv_std).reshape(1, -1, 1, 1)
-        self.shift = (
-            bn.beta.data - bn.running_mean * bn.gamma.data * inv_std
-        ).reshape(1, -1, 1, 1)
-
-    def _finish_restore(self, meta: Dict[str, Any]) -> None:
-        self.bn = None
-
-    def run(self, regs: List, arena) -> None:
-        x = regs[self.src]
-        dtype = np.result_type(x.dtype, self.scale.dtype)
-        out = arena.get((self.op_id, "out"), x.shape, dtype)
-        np.multiply(x, self.scale, out=out)
-        out += self.shift
-        if self.relu:
-            np.maximum(out, 0.0, out=out)
-        regs[self.dst] = out
+    def run(self, regs, arena) -> None:
+        regs[self.dst] = F.batch_norm2d_raw(
+            regs[self.src], self.scale, self.shift, arena, (self.op_id,),
+            F.relu_inplace if self.relu else None,
+        )
 
 
-class ActivationOp(PlanOp):
-    """Standalone relu / sigmoid / tanh when fusion was not possible."""
+class ReluOp(PlanOp):
+    """Standalone ReLU, when no op before it takes it as an epilogue."""
 
-    name = "activation"
-    export_attrs = ("kind",)
+    name = "relu"
 
-    def __init__(self, op_id: int, src: int, dst: int, kind: str) -> None:
-        super().__init__(op_id, src, dst)
-        self.kind = kind
-
-    def run(self, regs: List, arena) -> None:
+    def run(self, regs, arena) -> None:
         x = regs[self.src]
         out = arena.get((self.op_id, "out"), x.shape, x.dtype)
-        if self.kind == "relu":
-            np.maximum(x, 0.0, out=out)
-        elif self.kind == "sigmoid":
-            np.copyto(out, x)
-            F.sigmoid_inplace(out)
-        else:  # tanh
-            np.tanh(x, out=out)
-        regs[self.dst] = out
+        regs[self.dst] = np.maximum(x, 0.0, out=out)
 
 
 class AddReluOp(PlanOp):
@@ -371,10 +239,11 @@ class AddReluOp(PlanOp):
     def reads(self) -> Tuple[int, ...]:
         return (self.src, self.other)
 
-    def run(self, regs: List, arena) -> None:
+    def run(self, regs, arena) -> None:
         a, b = regs[self.src], regs[self.other]
         out = arena.get(
-            (self.op_id, "out"), a.shape, np.result_type(a.dtype, b.dtype)
+            (self.op_id, "out"), np.broadcast_shapes(a.shape, b.shape),
+            np.result_type(a.dtype, b.dtype),
         )
         np.add(a, b, out=out)
         np.maximum(out, 0.0, out=out)
@@ -382,37 +251,23 @@ class AddReluOp(PlanOp):
 
 
 class LinearOp(PlanOp):
-    """GEMM with pre-transposed weight and fused activation epilogue."""
+    """GEMM with pre-transposed weight and fused ReLU epilogue."""
 
     name = "linear"
     export_attrs = ("relu",)
     export_arrays = ("w_t", "bias")
+    relu = False
 
-    def __init__(
-        self, op_id: int, src: int, dst: int, linear: Linear,
-        relu: bool = False,
-    ) -> None:
-        super().__init__(op_id, src, dst)
-        self.linear = linear
-        self.relu = relu
-        self.refold()
+    def fold(self) -> None:
+        self.w_t = np.ascontiguousarray(self.module.weight.data.T)
+        bias = self.module.bias
+        self.bias = bias.data if bias is not None else None
 
-    def refold(self) -> None:
-        if self._detached:
-            return
-        self.w_t = np.ascontiguousarray(self.linear.weight.data.T)
-        self.bias = (
-            self.linear.bias.data if self.linear.bias is not None else None
-        )
-
-    def _finish_restore(self, meta: Dict[str, Any]) -> None:
-        self.linear = None
-
-    def run(self, regs: List, arena) -> None:
+    def run(self, regs, arena) -> None:
         x = regs[self.src]
         dtype = np.result_type(x.dtype, self.w_t.dtype)
         out = arena.get(
-            (self.op_id, "out"), (x.shape[0], self.w_t.shape[1]), dtype
+            (self.op_id, "out"), (*x.shape[:-1], self.w_t.shape[1]), dtype
         )
         np.matmul(x, self.w_t, out=out)
         if self.bias is not None:
@@ -423,72 +278,17 @@ class LinearOp(PlanOp):
 
 
 class ReshapeOp(PlanOp):
-    """View reshape; ``shape_fn`` maps the input shape to the new one.
-
-    ``spec`` is the declarative form (e.g. ``("merge01",)``) used when
-    the plan is exported; detached restores rebuild ``shape_fn`` from it.
-    """
+    """View reshape to the recorded ``shape`` (``-1`` marks the batch)."""
 
     name = "reshape"
-    export_attrs = ("spec",)
+    export_attrs = ("shape",)
 
-    def __init__(
-        self, op_id: int, src: int, dst: int,
-        shape_fn: Callable[[Tuple[int, ...]], Tuple[int, ...]],
-        spec: Optional[Tuple] = None,
-    ) -> None:
+    def __init__(self, op_id: int, src: int, dst: int, shape) -> None:
         super().__init__(op_id, src, dst)
-        self.shape_fn = shape_fn
-        self.spec = tuple(spec) if spec is not None else None
+        self.shape = tuple(shape)
 
-    def _check_exportable(self) -> None:
-        if self.spec is None:
-            raise SerializationError(
-                f"reshape op {self.op_id} has no declarative spec and "
-                "cannot be exported"
-            )
-
-    def _finish_restore(self, meta: Dict[str, Any]) -> None:
-        self.spec = tuple(self.spec)
-        self.shape_fn = _reshape_fn_from_spec(self.spec)
-
-    def run(self, regs: List, arena) -> None:
-        x = regs[self.src]
-        regs[self.dst] = x.reshape(self.shape_fn(x.shape))
-
-
-class CheckShapeOp(PlanOp):
-    """Input validation matching the eager module's error messages.
-
-    ``spec`` is the declarative constraint set (``ndim`` / ``eq`` /
-    ``div``) exported with the plan; restored plans validate with a
-    generic message rebuilt from it.
-    """
-
-    name = "check_shape"
-    export_attrs = ("spec",)
-
-    def __init__(
-        self, op_id: int, src: int,
-        check_fn: Callable[[Tuple[int, ...]], None],
-        spec: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        super().__init__(op_id, src, src)
-        self.check_fn = check_fn
-        self.spec = spec
-
-    def _check_exportable(self) -> None:
-        if self.spec is None:
-            raise SerializationError(
-                f"check_shape op {self.op_id} has no declarative spec "
-                "and cannot be exported"
-            )
-
-    def _finish_restore(self, meta: Dict[str, Any]) -> None:
-        self.check_fn = _check_fn_from_spec(self.spec)
-
-    def run(self, regs: List, arena) -> None:
-        self.check_fn(regs[self.src].shape)
+    def run(self, regs, arena) -> None:
+        regs[self.dst] = regs[self.src].reshape(self.shape)
 
 
 class FrameAttentionOp(PlanOp):
@@ -497,23 +297,11 @@ class FrameAttentionOp(PlanOp):
     name = "frame_attention"
     export_arrays = ("w1", "b1", "w2", "b2")
 
-    def __init__(
-        self, op_id: int, src: int, dst: int, module: FrameAttention
-    ) -> None:
-        super().__init__(op_id, src, dst)
-        self.module = module
-        self.refold()
-
-    def refold(self) -> None:
-        if self._detached:
-            return
+    def fold(self) -> None:
         self.w1, self.b1 = _fold_conv(self.module.conv1, None)
         self.w2, self.b2 = _fold_conv(self.module.conv2, None)
 
-    def _finish_restore(self, meta: Dict[str, Any]) -> None:
-        self.module = None
-
-    def run(self, regs: List, arena) -> None:
+    def run(self, regs, arena) -> None:
         regs[self.dst], _ = F.frame_attention_raw(
             regs[self.src], self.w1, self.b1, self.w2, self.b2, arena,
             (self.op_id,),
@@ -526,24 +314,11 @@ class VelocityChannelAttentionOp(PlanOp):
     name = "velocity_channel_attention"
     export_arrays = ("w_t", "bias")
 
-    def __init__(
-        self, op_id: int, src: int, dst: int,
-        module: VelocityChannelAttention,
-    ) -> None:
-        super().__init__(op_id, src, dst)
-        self.module = module
-        self.refold()
-
-    def refold(self) -> None:
-        if self._detached:
-            return
+    def fold(self) -> None:
         self.w_t = np.ascontiguousarray(self.module.fc.weight.data.T)
         self.bias = self.module.fc.bias.data
 
-    def _finish_restore(self, meta: Dict[str, Any]) -> None:
-        self.module = None
-
-    def run(self, regs: List, arena) -> None:
+    def run(self, regs, arena) -> None:
         regs[self.dst], _, _ = F.channel_attention_raw(
             regs[self.src], self.w_t, self.bias, arena, (self.op_id,)
         )
@@ -552,44 +327,30 @@ class VelocityChannelAttentionOp(PlanOp):
 class SpatialAttentionOp(PlanOp):
     """Eq. 6-7: range-angle weights from channel mean/max maps.
 
-    Runs the eager kernel
-    (:func:`~repro.nn.functional.spatial_attention_raw`) with the banded
-    conv weight cached per input width; ``refold`` rebuilds the cached
-    bands.
+    Runs :func:`~repro.nn.functional.spatial_attention_raw` with the
+    banded conv weight cached per input width; ``fold`` rebuilds the
+    cached bands.
     """
 
     name = "spatial_attention"
     export_arrays = ("weight", "bias")
 
-    def __init__(
-        self, op_id: int, src: int, dst: int, module: SpatialAttention
-    ) -> None:
-        super().__init__(op_id, src, dst)
-        self.module = module
-        self._bands: Dict[int, np.ndarray] = {}
-        self.refold()
-
-    def refold(self) -> None:
-        if self._detached:
-            return
+    def fold(self) -> None:
         conv = self.module.conv
         self.weight = np.array(conv.weight.data)
         self.bias = np.array(conv.bias.data)
         self._bands = {
             width: F.conv_band(self.weight, width)
-            for width in self._bands
+            for width in getattr(self, "_bands", ())
         }
 
-    def _finish_restore(self, meta: Dict[str, Any]) -> None:
-        self.module = None
-        self._bands = {}
-
-    def run(self, regs: List, arena) -> None:
+    def run(self, regs, arena) -> None:
         x = regs[self.src]
         width = x.shape[3]
-        band = self._bands.get(width)
+        bands = self.__dict__.setdefault("_bands", {})  # restored: empty
+        band = bands.get(width)
         if band is None:
-            band = self._bands[width] = F.conv_band(self.weight, width)
+            band = bands[width] = F.conv_band(self.weight, width)
         regs[self.dst], _, _ = F.spatial_attention_raw(
             x, band, self.bias, self.weight.shape[-1], arena,
             (self.op_id,),
@@ -608,26 +369,14 @@ class LSTMOp(PlanOp):
     export_attrs = ("hidden_size",)
     export_arrays = ("w_ih_t", "w_hh_t", "bias")
 
-    def __init__(
-        self, op_id: int, src: int, dst: int, lstm: LSTM
-    ) -> None:
-        super().__init__(op_id, src, dst)
-        self.lstm = lstm
+    def fold(self) -> None:
+        lstm = self.module
         self.hidden_size = lstm.hidden_size
-        self.refold()
+        self.w_ih_t = np.ascontiguousarray(lstm.w_ih.data.T)
+        self.w_hh_t = np.ascontiguousarray(lstm.w_hh.data.T)
+        self.bias = lstm.bias.data
 
-    def refold(self) -> None:
-        if self._detached:
-            return
-        self.w_ih_t = np.ascontiguousarray(self.lstm.w_ih.data.T)
-        self.w_hh_t = np.ascontiguousarray(self.lstm.w_hh.data.T)
-        self.bias = self.lstm.bias.data
-
-    def _finish_restore(self, meta: Dict[str, Any]) -> None:
-        self.lstm = None
-        self.hidden_size = int(self.hidden_size)
-
-    def run(self, regs: List, arena) -> None:
+    def run(self, regs, arena) -> None:
         x = regs[self.src]
         key = (self.op_id,)
         b, steps, _ = x.shape
@@ -668,11 +417,10 @@ OP_TYPES: Dict[str, type] = {
         ConvOp,
         ConvTransposeOp,
         BatchNormOp,
-        ActivationOp,
+        ReluOp,
         AddReluOp,
         LinearOp,
         ReshapeOp,
-        CheckShapeOp,
         FrameAttentionOp,
         VelocityChannelAttentionOp,
         SpatialAttentionOp,
@@ -686,10 +434,12 @@ OP_TYPES: Dict[str, type] = {
 # Static memory planning
 # ----------------------------------------------------------------------
 class _BufRecord:
-    """One scratch request observed during a probe execution."""
+    """One scratch request observed during a probe execution. It holds
+    its array only weakly, so a probe peaks near the eager forward's
+    footprint rather than at the sum of every request."""
 
     __slots__ = ("key", "shape", "dtype", "zero", "start", "end",
-                 "nbytes", "array")
+                 "nbytes", "ref")
 
     def __init__(self, key, shape, dtype, zero, start, array) -> None:
         self.key = key
@@ -699,15 +449,28 @@ class _BufRecord:
         self.start = start
         self.end = start
         self.nbytes = array.nbytes
-        self.array = array
+        self.ref = weakref.ref(array)
+
+
+def _root_base(arr: np.ndarray) -> np.ndarray:
+    """Walk the view chain back to the owning allocation."""
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr
 
 
 class _RecordingArena:
-    """Arena stand-in that logs every request during the probe run."""
+    """Arena stand-in for a probe run: fresh arrays, logged lifetimes.
+
+    After each op, :meth:`ran` notes which request (if any) backs the
+    op's output register -- one of its own, or its input's for a view --
+    so that buffer's lifetime extends to the register's last reader.
+    """
 
     def __init__(self) -> None:
         self.records: List[_BufRecord] = []
         self.op_index = 0
+        self._backing: Dict[int, _BufRecord] = {}
 
     def get(
         self, key: Tuple, shape: Tuple[int, ...], dtype,
@@ -719,12 +482,43 @@ class _RecordingArena:
         )
         return arr
 
+    def ran(self, op: PlanOp, regs) -> None:
+        root = _root_base(regs[op.dst])
+        for rec in reversed(self.records):
+            if rec.start != op.op_id:
+                break
+            if rec.ref() is root:
+                self._backing[op.dst] = rec
+                return
+        for reg in op.reads():
+            rec = self._backing.get(reg)
+            if rec is not None and rec.ref() is root:
+                self._backing[op.dst] = rec
+                return
 
-def _root_base(arr: np.ndarray) -> np.ndarray:
-    """Walk the view chain back to the owning allocation."""
-    while isinstance(arr.base, np.ndarray):
-        arr = arr.base
-    return arr
+    def memory_plan(
+        self, ops: List[PlanOp], out_reg: int, signature: Tuple
+    ) -> "MemoryPlan":
+        """Colour the logged requests once the whole plan has run.
+
+        Scratch dies with its op; a buffer that backs a register lives
+        until the last op reading any register it backs -- the plan
+        output lives past the final op.
+        """
+        last_use = _last_reads(ops)
+        last_use[out_reg] = len(ops)
+        for reg, rec in self._backing.items():
+            rec.end = max(rec.end, last_use.get(reg, rec.end))
+        return _color_buffers(self.records, signature)
+
+
+def _last_reads(ops: List[PlanOp]) -> Dict[int, int]:
+    """Register -> index of the last op reading it."""
+    last: Dict[int, int] = {}
+    for i, op in enumerate(ops):
+        for reg in op.reads():
+            last[reg] = i
+    return last
 
 
 class MemoryPlan:
@@ -754,19 +548,14 @@ class MemoryPlan:
         return sum(self.slot_sizes)
 
     def to_meta(self) -> Dict[str, Any]:
-        """JSON-able form for the on-disk plan artifact."""
+        """JSON-able form for the on-disk plan artifact; each assignment
+        is ``[key, slot, shape, dtype, zero]``."""
         return {
             "signature": [list(self.signature[0]), self.signature[1]],
             "slot_sizes": list(self.slot_sizes),
             "arena_bytes": int(self.arena_bytes),
             "assignments": [
-                {
-                    "key": list(key),
-                    "slot": slot,
-                    "shape": list(shape),
-                    "dtype": dtype,
-                    "zero": zero,
-                }
+                [list(key), slot, list(shape), dtype, zero]
                 for key, (slot, shape, dtype, zero)
                 in self.assignments.items()
             ],
@@ -774,18 +563,13 @@ class MemoryPlan:
 
     @classmethod
     def from_meta(cls, meta: Dict[str, Any]) -> "MemoryPlan":
-        sig = meta["signature"]
+        shape, dtype = meta["signature"]
         assignments = {
-            tuple(entry["key"]): (
-                int(entry["slot"]),
-                tuple(entry["shape"]),
-                entry["dtype"],
-                bool(entry["zero"]),
-            )
-            for entry in meta["assignments"]
+            tuple(key): (int(slot), tuple(shape_), dtype_, bool(zero))
+            for key, slot, shape_, dtype_, zero in meta["assignments"]
         }
         return cls(
-            (tuple(sig[0]), sig[1]),
+            (tuple(shape), dtype),
             [int(s) for s in meta["slot_sizes"]],
             assignments,
             int(meta["arena_bytes"]),
@@ -845,259 +629,353 @@ class PlannedArena:
         self._slabs = [
             np.empty(size, dtype=np.uint8) for size in plan.slot_sizes
         ]
-        self._views: Dict[Tuple, Tuple[np.ndarray, bool]] = {}
-        for key, (slot, shape, dtype, zero) in plan.assignments.items():
-            view = np.ndarray(shape, dtype=dtype,
-                              buffer=self._slabs[slot])
-            self._views[key] = (view, zero)
+        self._views = {
+            key: np.ndarray(shape, dtype=dtype, buffer=self._slabs[slot])
+            for key, (slot, shape, dtype, _) in plan.assignments.items()
+        }
 
     def get(
         self, key: Tuple, shape: Tuple[int, ...], dtype,
         zero: bool = False,
     ) -> np.ndarray:
-        entry = self._views.get(key)
-        if entry is not None:
-            view, planned_zero = entry
-            if view.shape == tuple(shape) and view.dtype == dtype:
-                if zero:
-                    view.fill(0)
-                return view
+        view = self._views.get(key)
+        if view is not None and view.shape == tuple(shape) and (
+            view.dtype == dtype
+        ):
+            if zero:
+                view.fill(0)
+            return view
         return np.zeros(shape, dtype) if zero else np.empty(shape, dtype)
 
 
 # ----------------------------------------------------------------------
-# Plan builder / compiler
+# The recorded plan
 # ----------------------------------------------------------------------
-class PlanBuilder:
-    """Accumulates the flat op list while the module tree is walked.
+class ForwardPlan:
+    """A recorded op list plus its register-file size and output slot.
 
-    Composite modules call back into the builder from their
-    ``compile_plan(builder, reg)`` hooks; the emit helpers return the
-    output register index of the op they appended.
+    ``input_shape`` is the shape it was recorded for, with ``-1`` as
+    the leading dim when any batch size replays it; ``dtype`` the
+    input's dtype.
     """
 
-    def __init__(self) -> None:
-        self.ops: List[PlanOp] = []
-        self.num_regs = 1  # register 0 is the plan input
-
-    def _new_reg(self) -> int:
-        reg = self.num_regs
-        self.num_regs += 1
-        return reg
-
-    def _emit(self, make_op) -> int:
-        dst = self._new_reg()
-        self.ops.append(make_op(len(self.ops), dst))
-        return dst
-
-    # -- emit helpers ---------------------------------------------------
-    def conv(
-        self, reg: int, conv, bn: Optional[BatchNorm2d] = None,
-        relu: bool = False,
-    ) -> int:
-        """A ``Conv2d`` or ``ConvTranspose2d`` with optional BN + ReLU."""
-        op_cls = (
-            ConvTransposeOp if isinstance(conv, ConvTranspose2d) else ConvOp
-        )
-        return self._emit(lambda i, d: op_cls(i, reg, d, conv, bn, relu))
-
-    def batch_norm(
-        self, reg: int, bn: BatchNorm2d, relu: bool = False
-    ) -> int:
-        return self._emit(lambda i, d: BatchNormOp(i, reg, d, bn, relu))
-
-    def activation(self, reg: int, kind: str) -> int:
-        return self._emit(lambda i, d: ActivationOp(i, reg, d, kind))
-
-    def add_relu(self, reg: int, other: int) -> int:
-        return self._emit(lambda i, d: AddReluOp(i, reg, other, d))
-
-    def linear(self, reg: int, linear: Linear, relu: bool = False) -> int:
-        return self._emit(lambda i, d: LinearOp(i, reg, d, linear, relu))
-
-    def reshape(self, reg: int, shape_fn, spec=None) -> int:
-        return self._emit(
-            lambda i, d: ReshapeOp(i, reg, d, shape_fn, spec=spec)
-        )
-
-    def check_shape(self, reg: int, check_fn, spec=None) -> int:
-        self.ops.append(
-            CheckShapeOp(len(self.ops), reg, check_fn, spec=spec)
-        )
-        return reg
-
-    def lstm(self, reg: int, lstm: LSTM) -> int:
-        return self._emit(lambda i, d: LSTMOp(i, reg, d, lstm))
-
-    # -- module walk ----------------------------------------------------
-    def module(self, reg: int, module: Module) -> int:
-        """Compile one module (dispatch by type / ``compile_plan`` hook)."""
-        hook = getattr(module, "compile_plan", None)
-        if hook is not None:
-            return hook(self, reg)
-        if isinstance(module, Sequential):
-            return self.sequential(reg, module)
-        if isinstance(module, (Conv2d, ConvTranspose2d)):
-            return self.conv(reg, module)
-        if isinstance(module, BatchNorm2d):
-            return self.batch_norm(reg, module)
-        if isinstance(module, Linear):
-            return self.linear(reg, module)
-        if isinstance(module, ReLU):
-            return self.activation(reg, "relu")
-        if isinstance(module, Sigmoid):
-            return self.activation(reg, "sigmoid")
-        if isinstance(module, Tanh):
-            return self.activation(reg, "tanh")
-        if isinstance(module, Dropout):
-            return reg  # identity in eval mode
-        if isinstance(module, FrameAttention):
-            return self._emit(
-                lambda i, d: FrameAttentionOp(i, reg, d, module)
-            )
-        if isinstance(module, VelocityChannelAttention):
-            return self._emit(
-                lambda i, d: VelocityChannelAttentionOp(i, reg, d, module)
-            )
-        if isinstance(module, SpatialAttention):
-            return self._emit(
-                lambda i, d: SpatialAttentionOp(i, reg, d, module)
-            )
-        raise InferenceCompileError(
-            f"cannot compile module of type {type(module).__name__}; "
-            "define compile_plan(builder, reg) on it or run eagerly"
-        )
-
-    def sequential(self, reg: int, seq: Sequential) -> int:
-        """Compile a Sequential, fusing Conv->BN->ReLU / Linear->ReLU."""
-        layers = list(seq.layers)
-        i = 0
-        while i < len(layers):
-            layer = layers[i]
-            if isinstance(layer, (Conv2d, ConvTranspose2d)):
-                bn = None
-                j = i + 1
-                if j < len(layers) and isinstance(layers[j], BatchNorm2d):
-                    bn = layers[j]
-                    j += 1
-                relu = j < len(layers) and isinstance(layers[j], ReLU)
-                if relu:
-                    j += 1
-                reg = self.conv(reg, layer, bn=bn, relu=relu)
-                i = j
-            elif isinstance(layer, Linear):
-                relu = i + 1 < len(layers) and isinstance(
-                    layers[i + 1], ReLU
-                )
-                reg = self.linear(reg, layer, relu=relu)
-                i += 2 if relu else 1
-            elif isinstance(layer, BatchNorm2d):
-                relu = i + 1 < len(layers) and isinstance(
-                    layers[i + 1], ReLU
-                )
-                reg = self.batch_norm(reg, layer, relu=relu)
-                i += 2 if relu else 1
-            else:
-                reg = self.module(reg, layer)
-                i += 1
-        return reg
-
-
-class ForwardPlan:
-    """The flat op list plus its register-file size and output slot."""
-
     def __init__(
-        self, ops: List[PlanOp], num_regs: int, out_reg: int
+        self, ops: List[PlanOp], num_regs: int, out_reg: int,
+        input_shape: Tuple[int, ...], dtype: str,
     ) -> None:
         self.ops = ops
         self.num_regs = num_regs
         self.out_reg = out_reg
+        self.input_shape = tuple(input_shape)
+        self.dtype = dtype
 
     def execute(
-        self, x: np.ndarray, arena,
-        profile: Optional[Dict[int, float]] = None,
+        self, x: np.ndarray, arena, times: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Run the op list with scratch from ``arena``. With ``profile``
-        given, per-op wall time accumulates into it keyed by op id."""
+        """Run the op list with scratch from ``arena``. With ``times``
+        given, each op's wall time is written to ``times[op_index]``."""
         regs: List[Optional[np.ndarray]] = [None] * self.num_regs
         regs[0] = x
-        if profile is None:
+        if times is None:
             for op in self.ops:
                 op.run(regs, arena)
         else:
-            for op in self.ops:
+            for i, op in enumerate(self.ops):
                 tic = time.perf_counter()
                 op.run(regs, arena)
-                profile[op.op_id] = (
-                    profile.get(op.op_id, 0.0)
-                    + time.perf_counter() - tic
-                )
+                times[i] = time.perf_counter() - tic
         return regs[self.out_reg]
 
     def refold(self) -> None:
         for op in self.ops:
             op.refold()
 
-    # -- static memory planning -----------------------------------------
     def plan_memory(
         self, x: np.ndarray
     ) -> Tuple[MemoryPlan, np.ndarray]:
-        """Probe-execute once, recording scratch lifetimes, and color.
+        """Probe-execute once on a recording arena and colour.
 
-        A buffer's interval starts at the op that requested it. Scratch
-        dies with its op; buffers that back a register value (found by
-        walking each register's view chain) live until the last op that
-        reads any aliasing register -- the plan output lives past the
-        final op. Returns the memory plan and the probe's output (so
-        the first call per signature does not execute twice).
+        Registers are dropped after their last reader, so the probe
+        holds what a planned run would. Returns the memory plan and the
+        probe's output (the first call per signature runs once).
         """
         probe = _RecordingArena()
         regs: List[Optional[np.ndarray]] = [None] * self.num_regs
         regs[0] = x
-        last_use: Dict[int, int] = {}
+        last_use = _last_reads(self.ops)
         for i, op in enumerate(self.ops):
-            for r in op.reads():
-                last_use[r] = i
-        last_use[self.out_reg] = len(self.ops)
-        for i, op in enumerate(self.ops):
-            probe.op_index = i
+            probe.op_index = op.op_id
             op.run(regs, probe)
-        by_id = {id(rec.array): rec for rec in probe.records}
-        for reg, val in enumerate(regs):
-            if not isinstance(val, np.ndarray):
-                continue
-            rec = by_id.get(id(_root_base(val)))
-            if rec is not None:
-                rec.end = max(rec.end, last_use.get(reg, rec.end))
+            probe.ran(op, regs)
+            for reg in op.reads():
+                if last_use[reg] == i and reg != self.out_reg:
+                    regs[reg] = None
+        out = regs[self.out_reg]
         signature = (tuple(x.shape), str(x.dtype))
-        plan = _color_buffers(probe.records, signature)
-        return plan, regs[self.out_reg]
+        return probe.memory_plan(self.ops, self.out_reg, signature), out
 
 
+# ----------------------------------------------------------------------
+# Recording
+# ----------------------------------------------------------------------
+class _Value(Tensor):
+    """A tensor inside a recording: a plan register and, once the op
+    that writes it has run, the register's array (``.data``).
+
+    ``reg`` is ``None`` for a value the plan does not compute: one a
+    fused op consumed, a bare sum, or an LSTM output other than the
+    final hidden state. Using such a value raises
+    :class:`InferenceCompileError`.
+    """
+
+    __slots__ = ("recorder", "reg", "array")
+    _recorded = True
+
+    def __init__(self, recorder: "_Recorder", reg: Optional[int],
+                 array: Optional[np.ndarray] = None) -> None:
+        self.recorder = recorder
+        self.reg = reg
+        self.array = array
+        self.requires_grad = False
+        self.grad = None
+        self._parents = ()
+        self._backward = None
+
+    @property
+    def data(self) -> np.ndarray:
+        return self.recorder.materialize(self)
+
+    def reshape(self, *shape) -> "_Value":
+        return self.recorder.reshape(self, shape)
+
+    def __add__(self, other) -> "_Value":
+        return _Sum(self.recorder, (self, other))
+
+    __radd__ = __add__
+
+    def relu(self) -> "_Value":
+        return self.recorder.relu(self)
+
+
+class _Sum(_Value):
+    """``a + b`` awaiting its relu: the plan lowers only ``relu(a + b)``."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, recorder: "_Recorder", terms) -> None:
+        super().__init__(recorder, None)
+        self.terms = terms
+
+
+_LOWERINGS: Dict[type, Any] = {
+    Conv2d: ConvOp,
+    ConvTranspose2d: ConvTransposeOp,
+    Linear: LinearOp,
+    BatchNorm2d: BatchNormOp,
+    FrameAttention: FrameAttentionOp,
+    VelocityChannelAttention: VelocityChannelAttentionOp,
+    SpatialAttention: SpatialAttentionOp,
+    LSTM: LSTMOp,
+}
+"""Module type -> plan op factory ``(op_id, src, dst, module)``. Exact
+types: a subclass may override ``forward``. ``ReLU`` and ``Dropout``
+are handled by the recorder itself."""
+
+_EPILOGUE_OPS = (ConvOp, LinearOp, BatchNormOp)
+"""Ops that wait as pending so a following BN / ReLU can fold in."""
+
+
+class _Recorder:
+    """Builds a :class:`ForwardPlan` from one eager forward.
+
+    Installed with :func:`~repro.nn.layers.recording`, it receives every
+    ``Module.__call__`` on this thread. Ops run on a recording arena as
+    soon as nothing can fuse into them, so the recording run is also
+    the memory-plan probe.
+    """
+
+    def __init__(self, x: np.ndarray) -> None:
+        self.ops: List[PlanOp] = []
+        self.num_regs = 1  # register 0 is the plan input
+        self.arena = _RecordingArena()
+        self.input = _Value(self, 0, x)
+        # (op, inputs, value): appended but not yet run
+        self.pending: Optional[Tuple[PlanOp, Tuple, _Value]] = None
+
+    def record(
+        self, module: Module
+    ) -> Tuple[ForwardPlan, MemoryPlan, np.ndarray]:
+        """Run ``module``'s forward on the input; return the plan, the
+        memory plan for the input's signature and the output."""
+        with no_grad(), recording(self):
+            out = module(self.input)
+        if not isinstance(out, _Value) or out.recorder is not self:
+            raise InferenceCompileError(
+                f"{type(module).__name__}.forward returned a value the "
+                "plan did not compute"
+            )
+        result = self.materialize(out)
+        self._flush()  # an op whose value the forward never used
+        x = self.input.array
+        self.input = None  # no value -> recorder -> value cycle
+        batched = x.ndim and result.ndim and result.shape[0] == x.shape[0]
+        input_shape = (-1, *x.shape[1:]) if batched else x.shape
+        plan = ForwardPlan(
+            self.ops, self.num_regs, out.reg, input_shape, str(x.dtype)
+        )
+        signature = (tuple(x.shape), str(x.dtype))
+        mplan = self.arena.memory_plan(self.ops, out.reg, signature)
+        return plan, mplan, result
+
+    # -- values -----------------------------------------------------------
+    def materialize(self, value: _Value) -> np.ndarray:
+        """``value``'s array, running its op first if it is pending."""
+        if value.recorder is not self or value.reg is None:
+            raise InferenceCompileError(
+                "a recorded value the plan does not compute was used "
+                "(a bare add, an output a fused op consumed, or an LSTM "
+                "output other than the final hidden state)"
+            )
+        if self.pending is not None and self.pending[2] is value:
+            self._flush()
+        return value.array
+
+    def _flush(self) -> None:
+        if self.pending is not None:
+            op, inputs, value = self.pending
+            self.pending = None
+            self._run(op, inputs, value)
+
+    def _run(self, op: PlanOp, inputs: Tuple, value: _Value) -> None:
+        regs = {v.reg: v.array for v in inputs}
+        op.refold()
+        self.arena.op_index = op.op_id
+        op.run(regs, self.arena)
+        self.arena.ran(op, regs)
+        value.array = regs[op.dst]
+
+    def _append(self, make_op, *inputs) -> _Value:
+        for value in inputs:
+            if not isinstance(value, _Value):
+                raise InferenceCompileError(
+                    "a lowered module was called on a value the plan "
+                    "did not record"
+                )
+            self.materialize(value)
+        self._flush()
+        dst = self.num_regs
+        self.num_regs += 1
+        op = make_op(len(self.ops), dst)
+        self.ops.append(op)
+        value = _Value(self, dst)
+        if isinstance(op, _EPILOGUE_OPS):
+            self.pending = (op, inputs, value)
+        else:
+            self._run(op, inputs, value)
+        return value
+
+    def _fuse(self, x, bn: Optional[BatchNorm2d] = None) -> Optional[_Value]:
+        """Fold a BN (or, without ``bn``, a ReLU) into the pending op
+        that writes ``x``; ``None`` when it cannot fold."""
+        if self.pending is None or self.pending[2] is not x:
+            return None
+        op, inputs, _ = self.pending
+        if op.relu:
+            return None
+        if bn is None:
+            op.relu = True
+        elif isinstance(op, ConvOp) and op.bn is None:
+            op.bn = bn
+        else:
+            return None
+        out = _Value(self, x.reg)
+        x.reg = None
+        self.pending = (op, inputs, out)
+        return out
+
+    # -- choke points -----------------------------------------------------
+    def call(self, module: Module, args: Tuple, kwargs: Dict) -> Any:
+        """``Module.__call__`` while recording."""
+        kind = type(module)
+        if kind not in _LOWERINGS and kind not in (ReLU, Dropout):
+            return module.forward(*args, **kwargs)
+        if kwargs or len(args) != 1:
+            raise InferenceCompileError(
+                f"{kind.__name__} takes one input in a compiled plan"
+            )
+        x = args[0]
+        if kind is Dropout:  # identity with eval semantics
+            return x
+        if kind is ReLU:
+            return self.relu(x)
+        if kind is BatchNorm2d:
+            fused = self._fuse(x, bn=module)
+            if fused is not None:
+                return fused
+        make = _LOWERINGS[kind]
+        out = self._append(lambda i, dst: make(i, x.reg, dst, module), x)
+        if kind is LSTM:
+            # The plan computes only the final hidden state.
+            unused = _Value(self, None)
+            return unused, (out, unused)
+        return out
+
+    def relu(self, x: _Value) -> _Value:
+        if isinstance(x, _Sum):
+            a, b = x.terms
+            return self._append(
+                lambda i, dst: AddReluOp(i, a.reg, b.reg, dst), a, b
+            )
+        fused = self._fuse(x)
+        if fused is not None:
+            return fused
+        return self._append(lambda i, dst: ReluOp(i, x.reg, dst), x)
+
+    def reshape(self, x: _Value, shape: Tuple) -> _Value:
+        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
+            shape = tuple(shape[0])
+        resolved = self.materialize(x).reshape(shape).shape
+        target = (-1, *resolved[1:]) if resolved else ()
+        return self._append(
+            lambda i, dst: ReshapeOp(i, x.reg, dst, target), x
+        )
+
+
+# ----------------------------------------------------------------------
+# Compiled model
+# ----------------------------------------------------------------------
 class CompiledModel:
-    """A module compiled to a :class:`ForwardPlan`, ready to serve.
+    """A module served through recorded :class:`ForwardPlan` s.
 
-    ``run`` takes and returns plain ndarrays. The folded weights are
-    revalidated against the source parameters' version counters on
-    every call; a bumped version (optimizer step, ``load_state_dict``)
-    triggers a cheap refold, so training and serving coexist on one
-    module.
+    ``run`` takes and returns plain ndarrays. The first call for an
+    input shape records a plan from the module's eager forward (see the
+    module docstring); later calls of the same per-sample shape replay
+    it at any batch size. The folded weights are revalidated against
+    the source parameters' version counters on every call; a bumped
+    version (optimizer step, ``load_state_dict``) triggers a cheap
+    refold, so training and serving coexist on one module.
 
     Execution uses a static memory plan per input ``(shape, dtype)``
-    signature: the first call probe-executes and colors buffer
-    lifetimes into a few shared slabs; steady-state calls run
-    allocation-free through that signature's :class:`PlannedArena`.
+    signature: the first call per signature colours the buffer
+    lifetimes of a recording-arena run into a few shared slabs;
+    steady-state calls run allocation-free through that signature's
+    :class:`PlannedArena`.
 
     A model restored from an on-disk artifact
-    (:func:`repro.nn.serialization.load_plan`) has ``module=None`` and
-    no live parameters: it never refolds and is safe to run as-is.
+    (:func:`repro.nn.serialization.load_plan`) has ``module=None``: it
+    never records or refolds, and serves only its plan's input shape.
     """
 
     _MAX_SIGNATURES = 16
 
-    def __init__(self, module: Optional[Module], plan: ForwardPlan) -> None:
+    def __init__(
+        self, module: Optional[Module], plan: Optional[ForwardPlan] = None
+    ) -> None:
         self.module = module
-        self.plan = plan
+        self.plan = plan  # the latest recorded (or restored) plan
+        self._plans: Dict[Tuple, ForwardPlan] = {}
+        if plan is not None:
+            self._plans[plan.input_shape, plan.dtype] = plan
         self._params = (
             [p for _, p in module.named_parameters()]
             if module is not None else []
@@ -1108,11 +986,6 @@ class CompiledModel:
         self._planned_arenas: Dict[Tuple, PlannedArena] = {}
         _LIVE_MODELS.add(self)
 
-    @classmethod
-    def from_plan(cls, plan: ForwardPlan) -> "CompiledModel":
-        """A detached model around a restored plan (no source module)."""
-        return cls(None, plan)
-
     def _param_version(self) -> int:
         return sum(getattr(p, "_version", 0) for p in self._params)
 
@@ -1122,7 +995,8 @@ class CompiledModel:
             return
         with self._lock:
             if version != self._version:
-                self.plan.refold()
+                for plan in self._plans.values():
+                    plan.refold()
                 self._version = version
                 obs_metrics.counter("model.plan.refolds").increment()
 
@@ -1136,21 +1010,28 @@ class CompiledModel:
                     break
                 del cache[oldest]
 
-    def _memory_plan(
-        self, x: np.ndarray
-    ) -> Tuple[MemoryPlan, Optional[np.ndarray]]:
-        """The memory plan for ``x``'s signature.
+    def _plan_for(
+        self, shape: Tuple[int, ...], dtype: str
+    ) -> Optional[ForwardPlan]:
+        """The recorded plan serving inputs of ``shape`` / ``dtype``."""
+        if shape:
+            plan = self._plans.get(((-1, *shape[1:]), dtype))
+            if plan is not None:
+                return plan
+        return self._plans.get((tuple(shape), dtype))
 
-        The first call per signature plans by probe-executing ``x`` and
-        also returns that probe's output; later calls return ``None`` in
-        its place.
-        """
-        sig = (tuple(x.shape), str(x.dtype))
-        mplan = self._memory_plans.get(sig)
-        if mplan is not None:
-            return mplan, None
-        mplan, out = self.plan.plan_memory(x)
-        self._remember(self._memory_plans, sig, mplan)
+    def _record(self, x: np.ndarray) -> Tuple[MemoryPlan, np.ndarray]:
+        if self.module is None:
+            raise ModelError(
+                f"this plan was recorded for input shape "
+                f"{self.plan.input_shape} ({self.plan.dtype}); got "
+                f"{x.shape} ({x.dtype})"
+            )
+        with trace.span("model.plan.record", shape=str(x.shape)):
+            plan, mplan, out = _Recorder(x).record(self.module)
+        self._remember(self._plans, (plan.input_shape, plan.dtype), plan)
+        self.plan = plan
+        obs_metrics.counter("model.plan.compiles").increment()
         return mplan, out
 
     def _planned_arena(self, mplan: MemoryPlan) -> PlannedArena:
@@ -1172,12 +1053,20 @@ class CompiledModel:
         self._refresh()
         obs_metrics.counter("model.plan.executes").increment()
         with trace.span(
-            "model.forward.compiled", batch=int(x.shape[0]),
-            ops=len(self.plan.ops),
+            "model.forward.compiled", batch=int(x.shape[0]) if x.ndim else 1,
+            ops=len(self.plan.ops) if self.plan is not None else 0,
         ):
-            mplan, out = self._memory_plan(x)
-            if out is None:
-                out = self.plan.execute(x, self._planned_arena(mplan))
+            sig = (tuple(x.shape), str(x.dtype))
+            plan = self._plan_for(*sig)
+            mplan = self._memory_plans.get(sig)
+            if plan is None:
+                mplan, out = self._record(x)
+                self._remember(self._memory_plans, sig, mplan)
+            elif mplan is None:
+                mplan, out = plan.plan_memory(x)
+                self._remember(self._memory_plans, sig, mplan)
+            else:
+                out = plan.execute(x, self._planned_arena(mplan))
             # The arena's buffers (including the output register) are
             # reused by the next call, so hand back a copy.
             return out.copy()
@@ -1185,32 +1074,37 @@ class CompiledModel:
     __call__ = run
 
     def profile(
-        self, x: np.ndarray, repeats: int = 3
+        self, x: np.ndarray, repeats: int = 11
     ) -> List[Dict[str, Any]]:
-        """Per-op cumulative wall time over ``repeats`` executions.
+        """Per-op median wall time over ``repeats`` executions.
 
         Runs on the signature's planned arena -- the allocation pattern
-        :meth:`run` serves with. Returns rows sorted by total time
-        descending: ``{"op_id", "op", "total_s", "share"}``.
+        :meth:`run` serves with -- after one :meth:`run` that records or
+        plans it if needed. Each op is timed on every repeat and its
+        share is its median over the sum of the medians, so one
+        preempted repeat cannot swing the shares. Returns rows sorted by
+        median descending: ``{"op_id", "op", "median_s", "share"}``.
         """
         x = np.asarray(x)
-        self._refresh()
-        arena = self._planned_arena(self._memory_plan(x)[0])
-        totals: Dict[int, float] = {}
-        for _ in range(max(1, repeats)):
-            self.plan.execute(x, arena, profile=totals)
-        names = {op.op_id: op.name for op in self.plan.ops}
-        grand_total = sum(totals.values()) or 1.0
+        self.run(x)
+        sig = (tuple(x.shape), str(x.dtype))
+        plan = self._plan_for(*sig)
+        arena = self._planned_arena(self._memory_plans[sig])
+        times = np.zeros((max(1, repeats), len(plan.ops)))
+        for row in times:
+            plan.execute(x, arena, times=row)
+        medians = np.median(times, axis=0)
+        total = float(medians.sum()) or 1.0
         rows = [
             {
-                "op_id": op_id,
-                "op": names.get(op_id, "?"),
-                "total_s": total,
-                "share": total / grand_total,
+                "op_id": op.op_id,
+                "op": op.name,
+                "median_s": float(median),
+                "share": float(median) / total,
             }
-            for op_id, total in totals.items()
+            for op, median in zip(plan.ops, medians)
         ]
-        rows.sort(key=lambda row: row["total_s"], reverse=True)
+        rows.sort(key=lambda row: row["median_s"], reverse=True)
         return rows
 
     # ------------------------------------------------------------------
@@ -1237,7 +1131,7 @@ class CompiledModel:
         """Plan shape and memory footprint for observability surfaces."""
         mem = self.memory_stats()
         return {
-            "ops": len(self.plan.ops),
+            "ops": len(self.plan.ops) if self.plan is not None else 0,
             "params": len(self._params),
             "param_version": self._version,
             "arena_buffers": mem["buffers"],
@@ -1275,21 +1169,13 @@ obs_metrics.get_registry().register_collector(publish_plan_memory_metrics)
 
 
 def compile_model(module: Module) -> CompiledModel:
-    """Compile ``module`` into an autograd-free :class:`CompiledModel`.
+    """A :class:`CompiledModel` serving ``module`` through recorded plans.
 
     The plan always has eval semantics: batch norm uses running
     statistics and dropout is the identity, exactly like the eager
-    forward after ``module.eval()``. Raises
-    :class:`~repro.errors.InferenceCompileError` when the module tree
-    contains something the compiler does not understand.
+    forward after ``module.eval()``. Nothing runs here: the first
+    :meth:`~CompiledModel.run` records, and raises
+    :class:`~repro.errors.InferenceCompileError` when the forward uses
+    something the plan cannot lower.
     """
-    builder = PlanBuilder()
-    try:
-        out_reg = builder.module(0, module)
-    except InferenceCompileError:
-        raise
-    except ModelError as exc:  # structural assumptions violated
-        raise InferenceCompileError(str(exc)) from exc
-    plan = ForwardPlan(builder.ops, builder.num_regs, out_reg)
-    obs_metrics.counter("model.plan.compiles").increment()
-    return CompiledModel(module, plan)
+    return CompiledModel(module)

@@ -10,6 +10,8 @@ simple activations.
 
 from __future__ import annotations
 
+import contextlib
+import threading
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -18,6 +20,21 @@ from repro.errors import ModelError
 from repro.nn import functional as F
 from repro.nn.init import kaiming_uniform
 from repro.nn.tensor import Tensor
+
+_RECORDER = threading.local()
+
+
+@contextlib.contextmanager
+def recording(recorder):
+    """Route every ``Module.__call__`` on this thread to
+    ``recorder.call(module, args, kwargs)`` (see
+    :mod:`repro.nn.inference`, which records plans this way)."""
+    previous = getattr(_RECORDER, "active", None)
+    _RECORDER.active = recorder
+    try:
+        yield
+    finally:
+        _RECORDER.active = previous
 
 
 class Module:
@@ -119,6 +136,9 @@ class Module:
         object.__setattr__(target, parts[-1], value)
 
     def __call__(self, *args, **kwargs):
+        recorder = getattr(_RECORDER, "active", None)
+        if recorder is not None:
+            return recorder.call(self, args, kwargs)
         return self.forward(*args, **kwargs)
 
     def forward(self, *args, **kwargs):  # pragma: no cover - abstract

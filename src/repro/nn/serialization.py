@@ -5,13 +5,13 @@ Two artifact families live here:
 * :func:`save_state` / :func:`load_state` -- a module's parameters and
   buffers as a flat ``.npz`` archive (training checkpoints, weights);
 * :func:`save_plan` / :func:`load_plan` / :func:`verify_plan` -- a
-  *compiled forward plan* as a versioned two-file artifact:
-  ``<prefix>.json`` holds the layout (op list with declarative attrs,
-  register count, one static memory plan per input shape, embedded
-  configs, content hashes) and ``<prefix>.npz`` holds the folded weight
-  arrays namespaced ``op<id>.<name>``. Loading rebuilds a detached
+  *recorded forward plan* as a versioned two-file artifact:
+  ``<prefix>.json`` holds the layout (recorded op list, input shape,
+  register count, the static memory plans so far, embedded configs,
+  content hashes) and ``<prefix>.npz`` holds the folded weight arrays
+  namespaced ``op<id>.<name>``. Loading rebuilds a detached
   :class:`~repro.nn.inference.CompiledModel` -- no module tree, no
-  retracing, no refolding -- which is exactly what gateway workers want
+  recording, no refolding -- which is exactly what gateway workers want
   at spawn. :func:`verify_plan` is the paired standalone parity check:
   it reconstructs the live eager model from the embedded config and
   compares outputs on a seeded batch.
@@ -43,7 +43,7 @@ from repro.nn.layers import Module
 from repro.obs import metrics as obs_metrics
 
 PLAN_FORMAT = "mmhand-forward-plan"
-PLAN_LAYOUT_VERSION = 3
+PLAN_LAYOUT_VERSION = 4
 
 
 def save_state(module: Module, path: Union[str, os.PathLike]) -> None:
@@ -119,20 +119,24 @@ def save_plan(
     prefix: Union[str, os.PathLike],
     config: Optional[Dict[str, Any]] = None,
 ) -> Tuple[str, str]:
-    """Serialize ``compiled`` to ``<prefix>.json`` + ``<prefix>.npz``.
+    """Serialize ``compiled``'s latest recorded plan to ``<prefix>.json``
+    + ``<prefix>.npz`` (so the model must have run once).
 
-    Captures the full execution state: the op list (declarative attrs
-    and folded float32 weights) and every static memory plan computed
-    so far (one per input shape). ``config`` (see
+    Captures the full execution state: the op list (attrs and folded
+    float32 weights) and every static memory plan computed so far for
+    it (one per batch size). ``config`` (see
     :func:`regressor_config_meta`) is embedded verbatim so
     :func:`verify_plan` and gateway workers can validate compatibility.
     Returns the two paths written.
     """
     compiled._refresh()
+    plan = compiled.plan
+    if plan is None:
+        raise SerializationError("no plan recorded yet: run the model")
     json_path, npz_path = _plan_paths(prefix)
     metas = []
     arrays: Dict[str, np.ndarray] = {}
-    for op in compiled.plan.ops:
+    for op in plan.ops:
         meta, op_arrays = op.export_state()
         metas.append(meta)
         for name, arr in op_arrays.items():
@@ -141,12 +145,15 @@ def save_plan(
     meta = {
         "format": PLAN_FORMAT,
         "layout_version": PLAN_LAYOUT_VERSION,
-        "num_regs": compiled.plan.num_regs,
-        "out_reg": compiled.plan.out_reg,
+        "input_shape": list(plan.input_shape),
+        "dtype": plan.dtype,
+        "num_regs": plan.num_regs,
+        "out_reg": plan.out_reg,
         "ops": metas,
         "memory_plans": [
             mplan.to_meta()
             for mplan in compiled._memory_plans.values()
+            if compiled._plan_for(*mplan.signature) is plan
         ],
         "config": config,
         "config_hash": _config_hash(config),
@@ -167,9 +174,9 @@ def load_plan(
 ):
     """Rebuild a detached :class:`CompiledModel` from a plan artifact.
 
-    The restored model has no source module: it never refolds, executes
-    straight from the serialized folded weights, and reuses the
-    artifact's memory plans. Raises
+    The restored model has no source module: it never records or
+    refolds, executes straight from the serialized folded weights, and
+    reuses the artifact's memory plans. Raises
     :class:`~repro.errors.SerializationError` on missing files, wrong
     format/layout version, or a weights-digest mismatch (tampered or
     truncated npz).
@@ -210,8 +217,11 @@ def load_plan(
             if name.startswith(namespace)
         }
         ops.append(op_cls.restore(op_meta, op_arrays))
-    plan = ForwardPlan(ops, int(meta["num_regs"]), int(meta["out_reg"]))
-    compiled = CompiledModel.from_plan(plan)
+    plan = ForwardPlan(
+        ops, int(meta["num_regs"]), int(meta["out_reg"]),
+        tuple(meta["input_shape"]), meta["dtype"],
+    )
+    compiled = CompiledModel(None, plan)
     for mplan_meta in meta.get("memory_plans", []):
         compiled.seed_memory_plan(MemoryPlan.from_meta(mplan_meta))
     obs_metrics.counter("model.plan.artifact_loads").increment()
@@ -224,7 +234,7 @@ def attach_plan(module: Module, compiled: CompiledModel) -> None:
     """Install ``compiled`` as ``module``'s cached inference plan.
 
     ``module.compiled()`` then returns the artifact-backed plan without
-    ever tracing or folding -- the gateway-worker fast path.
+    ever recording or folding -- the gateway-worker fast path.
     """
     object.__setattr__(module, "_compiled_plan", compiled)
     object.__setattr__(module, "_compile_failed", False)

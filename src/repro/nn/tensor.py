@@ -23,7 +23,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import GradientError, ModelError
+from repro.errors import GradientError, InferenceCompileError, ModelError
 
 _GRAD_ENABLED = [True]
 
@@ -66,6 +66,10 @@ class Tensor:
         "data", "grad", "requires_grad", "_backward", "_parents",
         "_version",
     )
+
+    _recorded = False
+    """True for the values of a plan recording (:mod:`repro.nn.inference`),
+    on which only the ops the plan lowers may run."""
 
     def __init__(
         self,
@@ -161,6 +165,10 @@ class Tensor:
             return Tensor(
                 data, requires_grad=True, _parents=tuple(parents),
                 _backward=backward,
+            )
+        if any(p._recorded for p in parents):
+            raise InferenceCompileError(
+                "a compiled plan has no lowering for this tensor op"
             )
         return Tensor(data)
 

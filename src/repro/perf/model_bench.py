@@ -147,9 +147,7 @@ def run_model_bench(
                 )
             ).astype(np.float32)
         )
-        op_profile = plan.profile(
-            profile_input, repeats=max(repeats, 1)
-        )[:10]
+        op_profile = plan.profile(profile_input)[:10]
 
     return {
         "smoke": smoke,
@@ -201,7 +199,7 @@ def print_model_report(summary: Dict[str, Any]) -> None:
         for row in profile[:5]:
             print(
                 f"  {row['op']:<24s} op{row['op_id']:<4d} "
-                f"{row['total_s'] * 1e3:8.2f} ms "
+                f"{row['median_s'] * 1e3:8.2f} ms "
                 f"({row['share'] * 100:5.1f}%)"
             )
 

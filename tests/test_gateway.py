@@ -600,6 +600,10 @@ def test_gateway_rejects_mismatched_plan_artifact(configs, tmp_path):
     other_model = dataclasses.replace(model, lstm_hidden=32)
     exporter = HandJointRegressor(dsp, other_model, seed=7)
     exporter.eval()
+    exporter.predict(  # records the plan the artifact carries
+        np.zeros((1, dsp.segment_frames, dsp.doppler_bins, dsp.range_bins,
+                  dsp.angle_bins_total), dtype=np.float32)
+    )
     prefix = str(tmp_path / "mismatched-plan")
     save_plan(
         exporter.compiled(), prefix,

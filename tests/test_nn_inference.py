@@ -1,5 +1,9 @@
 """Tests of the compiled inference engine (repro.nn.inference)."""
 
+import gc
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -105,16 +109,25 @@ def _conv_bn_relu(dtype, rng):
 
 
 @pytest.mark.parametrize(
-    "dtype,rel_tol",
-    [(np.float32, 1e-6), (np.float64, 1e-12)],
+    "dtype,rel_tol,standalone",
+    [(np.float32, 1e-6, False), (np.float64, 1e-12, False),
+     (np.float32, 1e-6, True)],
+    ids=["float32-1e-06", "float64-1e-12", "standalone-bn"],
 )
-def test_conv_bn_folding_matches_eager(dtype, rel_tol, rng):
+def test_conv_bn_folding_matches_eager(dtype, rel_tol, standalone, rng):
     seq = _conv_bn_relu(dtype, rng)
-    x = rng.normal(size=(2, 3, 8, 8)).astype(dtype)
+    if standalone:
+        # Without a conv before it, BN (+ReLU) is its own plan op.
+        seq = Sequential(*seq.layers[1:]).eval()
+    x = rng.normal(size=(2, 5 if standalone else 3, 8, 8)).astype(dtype)
     eager = seq(Tensor(x)).data
     compiled = compile_model(seq)
-    assert len(compiled.plan.ops) == 1  # conv, bn and relu fused
     out = compiled.run(x)
+    # conv (or standalone BN), bn and relu fused into one op
+    assert [op.name for op in compiled.plan.ops] == [
+        "batch_norm2d" if standalone else "conv2d"
+    ]
+    assert compiled.plan.ops[0].relu
     assert out.dtype == np.dtype(dtype)
     scale = float(np.abs(eager).max())
     assert float(np.abs(out - eager).max()) / scale <= rel_tol
@@ -208,13 +221,14 @@ def test_unsupported_module_raises_and_predict_falls_back(
         LayerNorm(hidden),  # the compiler has no lowering for this
         Linear(hidden, small_model.num_joints * 3),
     )
-    with pytest.raises(InferenceCompileError):
-        compile_model(regressor)
-    assert regressor.compiled() is None
     x = _segments(rng, small_dsp, batch=2)
+    with pytest.raises(InferenceCompileError):
+        compile_model(regressor).run(x)
     eager = regressor.predict(x, use_compiled=False)
     fallback = regressor.predict(x)  # must not raise
     assert np.allclose(fallback, eager)
+    # The failed recording is remembered: no plan is offered again.
+    assert regressor.compiled() is None
 
 
 def test_dropout_compiles_to_identity(rng):
@@ -225,13 +239,43 @@ def test_dropout_compiles_to_identity(rng):
     assert np.allclose(out, eager, atol=1e-6)
 
 
-def test_compile_rejects_unknown_custom_module():
-    class Strange(Module):
+def test_compile_rejects_op_without_lowering(rng):
+    # LayerNorm's forward runs Tensor ops the plan has no op for.
+    seq = Sequential(Linear(3, 3), LayerNorm(3))
+    with pytest.raises(InferenceCompileError):
+        compile_model(seq).run(rng.normal(size=(2, 3)).astype(np.float32))
+
+
+def test_custom_module_records_through_its_forward(rng):
+    # A module without a lowering compiles through its own forward.
+    class Identity(Module):
         def forward(self, x):
             return x
 
+    seq = Sequential(Linear(3, 3), Identity()).eval()
+    x = rng.normal(size=(2, 3)).astype(np.float32)
+    compiled = compile_model(seq)
+    assert np.allclose(compiled.run(x), seq(Tensor(x)).data, atol=1e-6)
+    assert [op.name for op in compiled.plan.ops] == ["linear"]
+
+
+def test_value_consumed_by_a_fused_op_falls_back(rng):
+    # The BN folds into the conv, so the raw conv output no longer
+    # exists in the plan: reusing it must refuse rather than read the
+    # folded value.
+    class Reuse(Module):
+        def __init__(self):
+            super().__init__()
+            self.conv = Conv2d(2, 2, kernel_size=1)
+            self.bn = BatchNorm2d(2)
+
+        def forward(self, x):
+            y = self.conv(x)
+            return (self.bn(y) + y).relu()
+
+    x = rng.normal(size=(1, 2, 4, 4)).astype(np.float32)
     with pytest.raises(InferenceCompileError):
-        compile_model(Sequential(Linear(3, 3), Strange()))
+        compile_model(Reuse().eval()).run(x)
 
 
 def test_plan_counters_flow_through_obs(regressor, small_dsp, rng):
@@ -303,8 +347,79 @@ def test_profile_reports_per_op_timings(regressor, small_dsp, rng):
     plan = regressor.compiled()
     rows = plan.profile(regressor.normalize_inputs(x))
     assert rows and len(rows) == len(plan.plan.ops)
-    assert all(row["total_s"] >= 0.0 for row in rows)
+    assert all(row["median_s"] >= 0.0 for row in rows)
     # Sorted descending by time, shares sum to ~1.
-    totals = [row["total_s"] for row in rows]
-    assert totals == sorted(totals, reverse=True)
+    medians = [row["median_s"] for row in rows]
+    assert medians == sorted(medians, reverse=True)
     assert abs(sum(row["share"] for row in rows) - 1.0) < 1e-6
+
+
+def test_profile_shares_ignore_one_slow_repeat(rng):
+    # Op 0 sleeps 50 ms on one repeat only (a preempted op): its share
+    # comes from per-op medians, so it stays near its unslowed value.
+    seq = Sequential(Linear(256, 256), ReLU(), Linear(256, 256)).eval()
+    x = rng.normal(size=(256, 256)).astype(np.float32)
+    compiled = compile_model(seq)
+
+    def share_of_first_op(rows):
+        return next(row for row in rows if row["op_id"] == 0)["share"]
+
+    unslowed = share_of_first_op(compiled.profile(x))
+    op = compiled.plan.ops[0]
+    calls = []
+
+    def run(regs, arena, _run=op.run):
+        calls.append(None)
+        if len(calls) == 3:
+            time.sleep(0.05)
+        _run(regs, arena)
+
+    op.run = run
+    slowed = share_of_first_op(compiled.profile(x))
+    assert len(calls) >= 10
+    assert abs(slowed - unslowed) < 0.2
+
+
+def test_first_call_does_not_hold_every_scratch_buffer(rng):
+    # The recording run is the memory-plan probe; it keeps each buffer's
+    # size and lifetime but frees scratch when its op ends, so its peak
+    # stays far below one-buffer-per-request (arena_bytes).
+    regressor = HandJointRegressor(seed=0)
+    x = _segments(rng, regressor.dsp, batch=8)
+    compiled = compile_model(regressor)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        compiled.run(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    arena_bytes = compiled.stats()["arena_bytes"]
+    assert peak < 0.5 * arena_bytes
+
+
+def test_new_batch_size_replays_the_recording(regressor, small_dsp, rng):
+    compiles = obs_metrics.counter("model.plan.compiles").value
+    plan = regressor.compiled()
+    regressor.eval()
+    for batch in (3, 1, 7):
+        x = _segments(rng, small_dsp, batch=batch)
+        eager = regressor.forward(Tensor(x)).data
+        assert float(np.abs(plan.run(x) - eager).max()) <= 1e-5
+    assert obs_metrics.counter("model.plan.compiles").value == compiles + 1
+    assert plan.stats()["memory_plans"] == 3
+
+
+def test_recording_leaves_no_cyclic_garbage(regressor, small_dsp, rng):
+    # Recorded values point at their recorder; the recorder must not
+    # point back once done, or every session open leaves its op list
+    # and folded weights to the cyclic collector.
+    x = _segments(rng, small_dsp, batch=2)
+    compile_model(regressor).run(x)
+    gc.collect()
+    gc.disable()
+    try:
+        compile_model(regressor).run(x)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -79,6 +79,22 @@ def test_attach_plan_serves_without_tracing(
     assert obs_metrics.counter("model.plan.compiles").value == compiles
 
 
+def test_loaded_plan_replays_any_batch_of_its_sample_shape(
+    regressor, small_dsp, tmp_path, rng
+):
+    from repro.errors import ModelError
+
+    _, x = _export(regressor, rng, small_dsp, tmp_path / "plan")
+    loaded = load_plan(tmp_path / "plan")
+    x = regressor.normalize_inputs(x)
+    for batch in (1, 3):
+        assert np.array_equal(loaded.run(x[:batch]),
+                              regressor.compiled().run(x[:batch]))
+    # No module to record from: another per-sample shape is refused.
+    with pytest.raises(ModelError, match="recorded for input shape"):
+        loaded.run(x[:, :1])
+
+
 def test_artifact_load_counter_increments(
     regressor, small_dsp, tmp_path, rng
 ):
@@ -139,12 +155,14 @@ def test_wrong_format_and_missing_artifact_rejected(
         load_plan(tmp_path / "plan")
 
 
-@pytest.mark.parametrize("layout", [1, 2])
+@pytest.mark.parametrize("layout", [1, 2, 3])
 def test_old_layout_artifact_rejected(
     layout, regressor, small_dsp, tmp_path, rng
 ):
     # Layout 1 lowered transposed convs to zero-stuffing + conv ops;
-    # layout 2 carried activation ranges and per-precision memory plans.
+    # layout 2 carried activation ranges and per-precision memory plans;
+    # layout 3 held a hand-built op list with shape-check ops and
+    # declarative reshape specs instead of a recorded one.
     (json_path, _), _ = _export(
         regressor, rng, small_dsp, tmp_path / "plan"
     )

@@ -13,9 +13,11 @@ Subcommands cover the common workflows end to end:
 * ``mmhand evaluate`` -- MPJPE / PCK / AUC of a trained model on a dataset;
 * ``mmhand demo`` -- run the full pipeline on a fresh simulated gesture
   sequence and print ASCII skeletons + recognised gestures;
-* ``mmhand serve`` -- run the multi-session inference service over a
-  simulated multi-client feed and print a throughput/latency report
-  (``--workers N`` serves through the multi-process gateway instead);
+* ``mmhand serve --listen HOST:PORT`` -- serve radar clients over TCP
+  (the :mod:`repro.netfront` wire protocol) through the multi-process
+  gateway (``--workers N``) until SIGTERM/SIGINT drains it; clients
+  stream raw IF frames or cubes with
+  :class:`~repro.netfront.NetFrontClient`;
 * ``mmhand gateway-bench`` -- sweep the gateway across worker counts
   with the open-loop load generator and write ``BENCH_serving.json``;
 * ``mmhand bench`` -- benchmark the DSP hot path against its reference
@@ -34,12 +36,12 @@ Subcommands cover the common workflows end to end:
   machine-portable ratio/invariant checks.
 
 ``serve``, ``train`` and ``bench`` additionally accept ``--trace-out``
-(prints a span summary and writes a Chrome trace-event JSON of the run;
-``serve --workers N`` writes the pool-merged trace), ``--metrics-json``
-(metrics registry snapshot) and ``--profile-out`` (prints the hot frames
-and writes a folded-stack sampling profile; the gateway path merges
-every worker's samples under per-process lanes). Every command is
-deterministic given ``--seed``.
+(a Chrome trace-event JSON of the run; ``serve`` writes the pool-merged
+trace, the others print a span summary), ``--metrics-json`` (metrics
+registry snapshot; the gateway's for ``serve``) and ``--profile-out``
+(a folded-stack sampling profile; ``serve`` merges every worker's
+samples under per-process lanes). Every command is deterministic given
+``--seed``.
 """
 
 from __future__ import annotations
@@ -512,21 +514,23 @@ def _cmd_demo(args) -> int:
 def _add_serve(subparsers) -> None:
     p = subparsers.add_parser(
         "serve",
-        help="run the multi-session inference service over a simulated "
-             "multi-client frame feed and report throughput/latency",
+        help="serve radar clients over TCP (the netfront wire protocol) "
+             "through the multi-process gateway until SIGTERM/SIGINT",
     )
+    p.add_argument(
+        "--listen", required=True, metavar="HOST:PORT",
+        help="serve the netfront wire protocol on this address "
+             "(port 0 picks an ephemeral port); runs until "
+             "SIGTERM/SIGINT, then drains gracefully",
+    )
+    p.add_argument("--workers", type=int, default=1,
+                   help="gateway worker processes, each fed through "
+                        "zero-copy shared-memory rings (default: 1)")
     p.add_argument("--weights", default=None,
                    help="trained weights .npz (random weights if omitted)")
-    p.add_argument("--sessions", type=int, default=4,
-                   help="number of concurrent simulated clients")
-    p.add_argument("--frames", type=int, default=16,
-                   help="raw frames fed per client")
     p.add_argument("--batch-size", type=int, default=8,
                    help="micro-batch size limit")
     p.add_argument("--queue-capacity", type=int, default=64)
-    p.add_argument("--policy", default="drop-oldest",
-                   choices=["block", "drop-oldest", "reject"],
-                   help="backpressure policy when the queue fills")
     p.add_argument("--no-cache", action="store_true",
                    help="disable the content-hash result cache")
     p.add_argument("--hop", type=int, default=1,
@@ -536,19 +540,7 @@ def _add_serve(subparsers) -> None:
                    help="load a pre-compiled plan artifact "
                         "(mmhand plan export) instead of tracing the "
                         "network at startup")
-    p.add_argument("--workers", type=int, default=0,
-                   help="serve through the multi-process gateway with N "
-                        "worker processes and zero-copy shared-memory "
-                        "ingest (0: single in-process server)")
-    net = p.add_argument_group(
-        "network", "real TCP serving instead of the simulated feed"
-    )
-    net.add_argument(
-        "--listen", default=None, metavar="HOST:PORT",
-        help="serve the netfront wire protocol on this address "
-             "(port 0 picks an ephemeral port); runs until "
-             "SIGTERM/SIGINT, then drains gracefully",
-    )
+    net = p.add_argument_group("network", "front-door auth and limits")
     net.add_argument(
         "--auth-token-file", default=None, metavar="PATH",
         help="file holding the shared auth token clients must present "
@@ -567,19 +559,18 @@ def _add_serve(subparsers) -> None:
         help="reap connections silent in both directions for this "
              "long (default: 30 s)",
     )
-    p.add_argument("--report-every", type=int, default=0,
-                   help="print a live report every N ticks (0: final only)")
     p.add_argument("--json", dest="json_path", default=None,
-                   help="write the final stats snapshot to this path")
+                   help="write the drain report and the merged gateway "
+                        "stats to this path")
     p.add_argument("--seed", type=int, default=0)
     chaos = p.add_argument_group(
         "chaos", "deterministic fault injection for resilience drills"
     )
     chaos.add_argument("--chaos", action="store_true",
-                       help="enable the fault injector on the feed and "
-                            "forward paths")
+                       help="enable each worker's fault injector on the "
+                            "ingest and forward paths")
     chaos.add_argument("--chaos-frame-rate", type=float, default=0.1,
-                       help="fraction of fed frames corrupted "
+                       help="fraction of ingested frames corrupted "
                             "(NaN/Inf/wrong shape/dropped)")
     chaos.add_argument("--chaos-forward-rate", type=float, default=0.05,
                        help="fraction of forward passes that raise an "
@@ -590,265 +581,18 @@ def _add_serve(subparsers) -> None:
     chaos.add_argument("--chaos-seed", type=int, default=0,
                        help="fault injector RNG seed")
     chaos.add_argument("--dead-letter-log", default=None, metavar="PATH",
-                       help="write quarantined requests as JSONL")
+                       help="write the pool's dead letters (quarantined "
+                            "frames and unanswered requests) as JSONL")
     _add_obs_flags(p)
 
 
-def _simulated_client_frames(
-    radar, sessions: int, frames: int, seed: int
-) -> "np.ndarray":
-    """Raw IF frames for ``sessions`` clients, each playing a gesture
-    sequence with its own subject and random stream.
-
-    Returns an array of shape ``(sessions, frames, antennas, loops,
-    samples)``.
-    """
-    from repro.hand.animation import GestureSequence, Keyframe
-    from repro.hand.gestures import list_gestures
-    from repro.hand.subjects import make_subjects
-    from repro.radar.radar import RadarSimulator
-    from repro.radar.scatterers import hand_scatterers
-    from repro.radar.scene import Scene
-
-    gestures = list_gestures()
-    subjects = make_subjects(sessions)
-    hold = 0.05
-    feeds = []
-    for client in range(sessions):
-        rng = np.random.default_rng(seed + 1000 * client)
-        names = [
-            gestures[(client + i) % len(gestures)] for i in range(2)
-        ]
-        sequence = GestureSequence(
-            [Keyframe(0.5 * i, name) for i, name in enumerate(names)],
-            base_position=np.array([0.3, 0.0, 0.0]),
-            seed=seed + client,
-        )
-        poses = sequence.sample(hold, frames)
-        shape = subjects[client].hand_shape()
-        sim = RadarSimulator(radar, seed=seed + client)
-        raw = []
-        for i, pose in enumerate(poses):
-            prev = poses[i - 1] if i else None
-            raw.append(
-                sim.frame(
-                    Scene(
-                        hand=hand_scatterers(
-                            shape, pose, prev_pose=prev,
-                            frame_period_s=hold, rng=rng,
-                        )
-                    )
-                )
-            )
-        feeds.append(np.stack(raw))
-    return np.stack(feeds)
-
-
-def _print_serve_report(
-    stats, elapsed_s: float, tick: int, event: str = "report"
-) -> None:
-    """Emit one structured (logfmt) serving report line."""
-    from repro.obs.logging import get_logger
-
-    counters = stats["counters"]
-    latency = stats["histograms"].get("latency_s", {})
-    batch = stats["histograms"].get("batch_size", {})
-    poses = counters.get("poses", 0)
-    fields = {
-        "tick": tick,
-        "poses": poses,
-        "poses_per_s": poses / elapsed_s if elapsed_s > 0 else 0.0,
-        "batch_mean": batch.get("mean", 0.0),
-        "latency_p50_ms": latency.get("p50", 0.0) * 1e3,
-        "latency_p95_ms": latency.get("p95", 0.0) * 1e3,
-        "latency_p99_ms": latency.get("p99", 0.0) * 1e3,
-        "queue_depth": stats["queue"]["depth"],
-        "dropped": stats["queue"]["dropped"],
-        "rejected": stats["queue"]["rejected"],
-    }
-    if "cache" in stats:
-        fields["cache_hit_rate"] = stats["cache"]["hit_rate"]
-    get_logger("serve").info(event, **fields)
-
-
 def _cmd_serve(args) -> int:
-    import json
-    import time
-
-    from repro.config import DspConfig, ModelConfig, RadarConfig
-    from repro.core.regressor import HandJointRegressor
-    from repro.dsp.radar_cube import CubeBuilder
-    from repro.errors import QueueFullError
-    from repro.obs.logging import configure, get_logger
-    from repro.serving import InferenceServer, ServingConfig
-
-    # Serving reports are logfmt lines on stdout, next to the plain
-    # human-readable framing prints.
-    configure(stream=sys.stdout)
-
-    if args.sessions < 1:
-        print("--sessions must be >= 1", file=sys.stderr)
-        return 1
-    if args.frames < 1:
-        print("--frames must be >= 1", file=sys.stderr)
-        return 1
-    if args.workers < 0:
-        print("--workers must be >= 0", file=sys.stderr)
-        return 1
-    if args.listen is not None:
-        return _cmd_serve_netfront(args)
-    if args.workers > 0:
-        return _cmd_serve_gateway(args)
-
-    radar = RadarConfig()
-    dsp = DspConfig()
-    regressor = HandJointRegressor(dsp, ModelConfig())
-    if args.weights is not None:
-        from repro.nn.serialization import load_state
-
-        load_state(regressor, args.weights)
-    regressor.eval()
-    if args.plan_path is not None:
-        from repro.errors import SerializationError
-        from repro.nn.serialization import (
-            attach_plan,
-            load_plan,
-            plan_matches_config,
-        )
-
-        try:
-            compiled, plan_meta = load_plan(
-                args.plan_path, with_meta=True
-            )
-        except SerializationError as error:
-            print(f"plan artifact: {error}", file=sys.stderr)
-            return 1
-        if plan_meta.get("config", {}).get("dsp") and not (
-            plan_matches_config(plan_meta, dsp, regressor.model_config)
-        ):
-            print(
-                f"plan artifact {args.plan_path} was exported for a "
-                "different dsp/model config",
-                file=sys.stderr,
-            )
-            return 1
-        attach_plan(regressor, compiled)
-        get_logger("serve").info(
-            "plan_artifact_loaded",
-            path=args.plan_path,
-            ops=len(compiled.plan.ops),
-        )
-
-    serving = ServingConfig(
-        max_batch_size=args.batch_size,
-        queue_capacity=args.queue_capacity,
-        policy=args.policy,
-        enable_cache=not args.no_cache,
-        hop_frames=args.hop,
-    )
-    injector = None
-    if args.chaos:
-        from repro.resilience import FaultInjector
-
-        injector = FaultInjector(
-            frame_corrupt_rate=args.chaos_frame_rate,
-            forward_fail_rate=args.chaos_forward_rate,
-            compile_fail=args.chaos_compile_fail,
-            seed=args.chaos_seed,
-        )
-    server = InferenceServer(
-        CubeBuilder(radar, dsp), regressor, serving,
-        fault_injector=injector,
-    )
-
-    print(
-        f"simulating {args.sessions} clients x {args.frames} frames "
-        f"(policy={args.policy}, batch<= {args.batch_size}, "
-        f"cache={'off' if args.no_cache else 'on'}"
-        f"{', chaos=on' if injector is not None else ''})"
-    )
-    feeds = _simulated_client_frames(
-        radar, args.sessions, args.frames, args.seed
-    )
-    session_ids = [server.open_session() for _ in range(args.sessions)]
-
-    start = time.perf_counter()
-    for tick in range(args.frames):
-        for client, session_id in enumerate(session_ids):
-            frame = feeds[client, tick]
-            if injector is not None:
-                frame, _ = injector.corrupt_frame(frame)
-                if frame is None:  # injected frame drop
-                    continue
-            try:
-                server.submit(session_id, frame)
-            except QueueFullError:
-                # Under the reject policy an overloaded queue refuses
-                # the window; the server counts it, the feed moves on.
-                pass
-        server.step()
-        if args.report_every and (tick + 1) % args.report_every == 0:
-            _print_serve_report(
-                server.stats(), time.perf_counter() - start, tick + 1
-            )
-    server.drain()
-    elapsed = time.perf_counter() - start
-    for session_id in session_ids:
-        server.close_session(session_id)
-
-    stats = server.stats()
-    print("--- final report ---")
-    _print_serve_report(stats, elapsed, args.frames, event="final_report")
-    logger = get_logger("serve")
-    counters = stats["counters"]
-    logger.info(
-        "served",
-        poses=counters.get("poses", 0),
-        frames_in=counters.get("frames_in", 0),
-        elapsed_s=elapsed,
-        frames_per_s=counters.get("frames_in", 0) / elapsed,
-        batches=counters.get("batches", 0),
-    )
-    plan = stats["plan_cache"]
-    logger.info(
-        "plan_cache",
-        hits=plan["hits"],
-        misses=plan["misses"],
-        entries=plan["entries"],
-    )
-    logger.info(
-        "resilience",
-        health=stats["health"],
-        breaker=stats["breaker"]["state"],
-        quarantined=counters.get("frames_quarantined", 0)
-        + counters.get("quarantined", 0),
-        dead_letters=stats["dead_letters"]["total"],
-        compiled_fallbacks=counters.get("compiled_fallbacks", 0),
-    )
-    if injector is not None:
-        logger.info("chaos", **injector.stats())
-    if args.dead_letter_log:
-        server.dead_letters.to_jsonl(args.dead_letter_log)
-        print(
-            f"dead letters ({len(server.dead_letters)}) -> "
-            f"{args.dead_letter_log}"
-        )
-    if args.json_path:
-        stats["elapsed_s"] = elapsed
-        with open(args.json_path, "w") as fh:
-            json.dump(stats, fh, indent=2, default=float)
-        print(f"stats -> {args.json_path}")
-    _export_observability(args, registry=server.metrics)
-    return 0
-
-
-def _cmd_serve_netfront(args) -> int:
     """``mmhand serve --listen HOST:PORT``: real TCP serving.
 
-    Stands up the multi-process gateway (``--workers``, minimum 1)
-    behind the :mod:`repro.netfront` asyncio server and runs until
-    SIGTERM/SIGINT triggers the graceful drain: stop accepting, flush
-    in-flight frames, send every client a goodbye frame with the final
+    Stands up the multi-process gateway (``--workers``) behind the
+    :mod:`repro.netfront` asyncio server and runs until SIGTERM/SIGINT
+    triggers the graceful drain: stop accepting, flush in-flight
+    frames, send every client a goodbye frame with the final
     accounting, exit 0 only if every submitted frame was answered or
     dead-lettered.
     """
@@ -859,9 +603,13 @@ def _cmd_serve_netfront(args) -> int:
     from repro.gateway import Gateway, GatewayConfig
     from repro.netfront import NetFrontConfig, serve_until_signal
     from repro.obs.logging import configure, get_logger
+    from repro.obs.profiler import DEFAULT_HZ
     from repro.serving import ServingConfig
 
     configure(stream=sys.stdout)
+    if args.workers < 1:
+        print("--workers must be >= 1", file=sys.stderr)
+        return 1
     host, _, port_text = args.listen.rpartition(":")
     if not host or not port_text:
         print(
@@ -890,18 +638,27 @@ def _cmd_serve_netfront(args) -> int:
             )
             return 1
 
+    # Trace/profile exports are pool-wide merges here, not the single-
+    # process exports main() and _export_observability write: claim
+    # the paths up front so those skip them.
+    trace_out, args.trace_out = args.trace_out, None
+    profile_out, args.profile_out = args.profile_out, None
     config = GatewayConfig(
-        workers=max(1, args.workers),
+        workers=args.workers,
+        profile_hz=(args.profile_hz or DEFAULT_HZ) if profile_out else 0.0,
         serving=ServingConfig(
             max_batch_size=args.batch_size,
             queue_capacity=args.queue_capacity,
-            policy=args.policy,
             enable_cache=not args.no_cache,
             hop_frames=args.hop,
         ),
         seed=args.seed,
         weights_path=args.weights,
         plan_path=args.plan_path,
+        chaos_frame_rate=args.chaos_frame_rate if args.chaos else 0.0,
+        chaos_forward_rate=args.chaos_forward_rate if args.chaos else 0.0,
+        chaos_compile_fail=args.chaos and args.chaos_compile_fail,
+        chaos_seed=args.chaos_seed,
     )
     net_config = NetFrontConfig(
         host=host,
@@ -914,121 +671,24 @@ def _cmd_serve_netfront(args) -> int:
     gateway = Gateway(RadarConfig(), DspConfig(), ModelConfig(), config)
     try:
         report = asyncio.run(serve_until_signal(gateway, net_config))
+        if args.json_path or args.metrics_json:
+            # Pulls every live worker's counters into the registry.
+            report["gateway"] = gateway.stats()
+            _export_observability(args, registry=gateway.metrics)
     finally:
+        # The workers' goodbyes deliver their last spans, profiles and
+        # dead letters.
         gateway.shutdown()
     get_logger("serve").info("netfront_exit", **{
         k: v for k, v in report.items()
         if not isinstance(v, (dict, list))
     })
     if args.dead_letter_log:
-        gateway.dead_letters.export_jsonl(args.dead_letter_log)
+        count = gateway.export_dead_letters(args.dead_letter_log)
+        print(f"dead letters ({count}) -> {args.dead_letter_log}")
     if args.json_path:
         with open(args.json_path, "w") as fh:
             json.dump(report, fh, indent=2, default=float)
-        print(f"stats -> {args.json_path}")
-    return 0 if report.get("lost_clean_frames", 1) == 0 else 1
-
-
-def _cmd_serve_gateway(args) -> int:
-    """``mmhand serve --workers N``: the same simulated multi-client
-    feed, served through the multi-process gateway."""
-    import json
-    import time
-
-    from repro.config import DspConfig, ModelConfig, RadarConfig
-    from repro.errors import QueueFullError
-    from repro.gateway import Gateway, GatewayConfig
-    from repro.obs.logging import configure, get_logger
-    from repro.serving import ServingConfig
-
-    configure(stream=sys.stdout)
-    radar = RadarConfig()
-    dsp = DspConfig()
-    # Trace/profile exports are pool-wide merges here, not the single-
-    # process exports the generic obs hooks would write: claim the
-    # paths up front so those hooks skip them.
-    trace_out, args.trace_out = args.trace_out, None
-    profile_out, args.profile_out = args.profile_out, None
-    if profile_out:
-        from repro.obs.profiler import DEFAULT_HZ
-
-        profile_hz = args.profile_hz or DEFAULT_HZ
-    else:
-        profile_hz = 0.0
-    config = GatewayConfig(
-        workers=args.workers,
-        profile_hz=profile_hz,
-        serving=ServingConfig(
-            max_batch_size=args.batch_size,
-            queue_capacity=args.queue_capacity,
-            policy=args.policy,
-            enable_cache=not args.no_cache,
-            hop_frames=args.hop,
-        ),
-        seed=args.seed,
-        weights_path=args.weights,
-        plan_path=args.plan_path,
-        chaos_frame_rate=args.chaos_frame_rate if args.chaos else 0.0,
-        chaos_forward_rate=(
-            args.chaos_forward_rate if args.chaos else 0.0
-        ),
-        chaos_compile_fail=args.chaos and args.chaos_compile_fail,
-        chaos_seed=args.chaos_seed,
-    )
-    print(
-        f"simulating {args.sessions} clients x {args.frames} frames "
-        f"through {args.workers} gateway workers (batch<= "
-        f"{args.batch_size}{', chaos=on' if args.chaos else ''})"
-    )
-    feeds = _simulated_client_frames(
-        radar, args.sessions, args.frames, args.seed
-    )
-    results = []
-    start = time.perf_counter()
-    with Gateway(radar, dsp, ModelConfig(), config) as gateway:
-        session_ids = [
-            gateway.open_session() for _ in range(args.sessions)
-        ]
-        for tick in range(args.frames):
-            for client, session_id in enumerate(session_ids):
-                frame = feeds[client, tick]
-                while True:
-                    try:
-                        gateway.submit(session_id, frame)
-                        break
-                    except QueueFullError:
-                        results.extend(gateway.pump())
-                        time.sleep(0.0005)
-            results.extend(gateway.pump())
-        results.extend(gateway.drain())
-        elapsed = time.perf_counter() - start
-        for session_id in session_ids:
-            gateway.close_session(session_id)
-        gateway.pump()
-        stats = gateway.stats()
-
-    counters = stats["counters"]
-    latency = stats["histograms"].get("gateway.latency_s", {})
-    logger = get_logger("serve")
-    logger.info(
-        "gateway_report",
-        workers=args.workers,
-        poses=len(results),
-        frames_forwarded=counters.get("gateway.frames_forwarded", 0),
-        acks=counters.get("gateway.acks", 0),
-        elapsed_s=elapsed,
-        poses_per_s=len(results) / elapsed if elapsed > 0 else 0.0,
-        latency_p50_ms=latency.get("p50", 0.0) * 1e3,
-        latency_p99_ms=latency.get("p99", 0.0) * 1e3,
-        quarantined=counters.get("gateway.frames_quarantined", 0),
-        dead_letters=stats["dead_letters"]["total"],
-        worker_restarts=counters.get("gateway.worker_restarts", 0),
-        health=stats["health"],
-    )
-    if args.json_path:
-        stats["elapsed_s"] = elapsed
-        with open(args.json_path, "w") as fh:
-            json.dump(stats, fh, indent=2, default=float)
         print(f"stats -> {args.json_path}")
     if trace_out:
         # ONE merged Chrome trace: dispatcher + every worker process in
@@ -1043,8 +703,7 @@ def _cmd_serve_gateway(args) -> int:
             if profiler is not None else None
         )
         _write_profile(profile_out, gateway.merged_profile(extra=extra))
-    _export_observability(args)
-    return 0
+    return 0 if report.get("lost_clean_frames", 1) == 0 else 1
 
 
 def _add_gateway_bench(subparsers) -> None:

@@ -105,9 +105,8 @@ class ServingError(ReproError):
 
 
 class QueueFullError(ServingError):
-    """The bounded request queue is at capacity and the configured
-    backpressure policy refused to admit the request (``reject``), or a
-    blocking ``put`` timed out before space became available."""
+    """The bounded request queue stayed at capacity until a blocking
+    ``put`` timed out, or a gateway request ring is full."""
 
 
 class SessionClosedError(ServingError):

@@ -44,6 +44,7 @@ forked, which is how they inherit the doorbells.
 from __future__ import annotations
 
 import itertools
+import json
 import multiprocessing
 import os
 import select
@@ -205,6 +206,11 @@ class Gateway:
         # worker generation (lane name -> profile dict).
         self._worker_spans: Deque[Dict[str, Any]] = deque(maxlen=262144)
         self._worker_profiles: Dict[str, Dict[str, Any]] = {}
+        # Dead letters recorded inside workers (quarantined frames,
+        # forwards that exhausted their retries), shipped like spans.
+        self._worker_dead_letters: Deque[Dict[str, Any]] = deque(
+            maxlen=4096
+        )
         self._process_names: Dict[int, str] = {
             os.getpid(): "dispatcher"
         }
@@ -362,12 +368,16 @@ class Gateway:
         )
 
     def _absorb_obs(self, handle: "_WorkerHandle", payload: Any) -> None:
-        """Bank spans/profile a worker shipped over the control pipe."""
+        """Bank spans, profile and dead letters a worker shipped over
+        the control pipe."""
         if not isinstance(payload, dict):
             return
         spans = payload.get("trace_spans")
         if spans:
             self._worker_spans.extend(spans)
+        letters = payload.get("dead_letter_records")
+        if letters:
+            self._worker_dead_letters.extend(letters)
         profile = payload.get("profile")
         if profile:
             lane = f"worker-{handle.index}"
@@ -384,6 +394,9 @@ class Gateway:
                 {
                     "trace_spans": payload.pop("trace_spans", None),
                     "profile": payload.pop("profile", None),
+                    "dead_letter_records": payload.pop(
+                        "dead_letter_records", None
+                    ),
                 },
             )
             handle.last_stats = payload
@@ -1081,6 +1094,20 @@ class Gateway:
         return obs_trace.export_chrome_merged(
             path, self.trace_records(), dict(self._process_names)
         )
+
+    def export_dead_letters(self, path: str) -> int:
+        """Write the pool's dead letters as JSONL; returns the count.
+
+        The dispatcher's own records (frames never answered) come
+        first, then those shipped by workers (quarantined frames,
+        requests whose forward exhausted its retries). Worker records
+        arrive with stats replies and shutdown byes.
+        """
+        records = self.dead_letters.tail() + list(self._worker_dead_letters)
+        with open(path, "w") as fh:
+            for record in records:
+                fh.write(json.dumps(record) + "\n")
+        return len(records)
 
     def merged_profile(
         self, extra: Optional[Dict[str, Dict[str, Any]]] = None

@@ -12,7 +12,9 @@ an unmodified :class:`~repro.serving.InferenceServer`) and loops:
   in one worker),
 * acknowledge **every** frame on the response ring (absorbed /
   enqueued / quarantined), and ship each regressed pose back with the
-  dispatcher's frame id,
+  dispatcher's frame id; under chaos (``WorkerConfig.chaos_*``) each
+  frame first passes the worker's seeded ``FaultInjector``, and a
+  corrupted or dropped one is acked as quarantined,
 * bump a heartbeat slot and answer control-pipe requests (stats
   snapshots, shutdown),
 * park, when there is nothing to do, in ``select`` on its request
@@ -34,8 +36,8 @@ propagated context, and attributes each batched forward back to the
 frames it served as per-frame ``worker.forward`` spans parented to the
 dispatcher-side submit span. Completed spans buffer in the worker's
 process-local tracer and ship back (as plain dicts) with every stats
-reply and with the final ``bye`` -- the control pipe stays
-metadata-only. An optional sampling profiler
+reply and with the final ``bye``, as do the worker's new dead letters
+-- the control pipe stays metadata-only. An optional sampling profiler
 (``WorkerConfig.profile_hz``) rides along the same way.
 """
 
@@ -115,12 +117,10 @@ def _build_server(config: WorkerConfig):
     from repro.serving import InferenceServer
 
     serving = config.serving
-    # Workers always run the block policy: the serving loop drains the
-    # queue before it can fill, so no request admitted to a worker is
-    # ever dropped there -- backpressure is the request ring filling up,
-    # which the dispatcher surfaces to its callers.
-    if serving.policy != "block":
-        serving = dataclasses.replace(serving, policy="block")
+    # The serving loop drains the queue before it can fill, so no
+    # request admitted to a worker ever waits for room there --
+    # backpressure is the request ring filling up, which the dispatcher
+    # surfaces to its callers.
     if serving.queue_capacity <= serving.max_batch_size:
         serving = dataclasses.replace(
             serving, queue_capacity=2 * serving.max_batch_size
@@ -284,15 +284,36 @@ def worker_main(
     profiler: Optional[SamplingProfiler] = None
     if config.profile_hz > 0:
         profiler = SamplingProfiler(hz=config.profile_hz).start()
+    injector = server.fault_injector
     last_beat = 0.0
     running = True
+    letters_shipped = 0
 
     def obs_payload() -> dict:
-        """Spans (and profile) to ship over the control pipe."""
+        """Spans, profile and new dead letters to ship over the control
+        pipe."""
+        nonlocal letters_shipped
+        letters = server.dead_letters
+        fresh = min(letters.total - letters_shipped, len(letters))
+        letters_shipped = letters.total
         return {
             "trace_spans": tracer.drain(),
             "profile": profiler.to_dict() if profiler else None,
+            "dead_letter_records": letters.tail(fresh) if fresh else [],
         }
+
+    def corrupt(sid: str, payload):
+        """Chaos: maybe corrupt one frame; dead-letter an injected drop
+        (the frame never reaches its session)."""
+        payload, _ = injector.corrupt_frame(payload)
+        if payload is None:
+            server.dead_letters.record(
+                session_id=sid,
+                frame_index=local_index[sid] + 1,
+                stage="ingest",
+                reason="injected frame drop",
+            )
+        return payload
 
     def beat() -> None:
         nonlocal last_beat
@@ -401,40 +422,46 @@ def worker_main(
                             frame_id=message.frame_id,
                             session=sid,
                         )
-                before = server.session_stats(sid)["quarantined"]
-                ingest_start = time.perf_counter()
-                with tracer.remote_context(
-                    message.trace_id, message.parent_span_id
-                ):
-                    with tracer.span(
-                        "worker.ingest", session=sid,
-                        frame_id=message.frame_id,
-                    ):
-                        if message.kind == KIND_FRAME_RAW:
-                            enqueued = server.submit(sid, message.payload)
-                        else:
-                            enqueued = server.submit_cube(
-                                sid, message.payload
-                            )
-                server.metrics.histogram("stage.ingest_s").observe(
-                    time.perf_counter() - ingest_start
-                )
-                if server.session_stats(sid)["quarantined"] > before:
+                payload = message.payload
+                if injector is not None and (
+                    payload := corrupt(sid, payload)
+                ) is None:
                     flag = ACK_QUARANTINED
                 else:
-                    local_index[sid] += 1
-                    if enqueued:
-                        flag = ACK_ENQUEUED
-                        pose_ids[(sid, local_index[sid])] = (
-                            message.frame_id
-                        )
-                        pending_ctx[(sid, local_index[sid])] = (
-                            message.trace_id,
-                            message.parent_span_id,
-                            time.perf_counter(),
-                        )
+                    before = server.session_stats(sid)["quarantined"]
+                    ingest_start = time.perf_counter()
+                    with tracer.remote_context(
+                        message.trace_id, message.parent_span_id
+                    ):
+                        with tracer.span(
+                            "worker.ingest", session=sid,
+                            frame_id=message.frame_id,
+                        ):
+                            if message.kind == KIND_FRAME_RAW:
+                                enqueued = server.submit(sid, payload)
+                            else:
+                                enqueued = server.submit_cube(
+                                    sid, payload
+                                )
+                    server.metrics.histogram("stage.ingest_s").observe(
+                        time.perf_counter() - ingest_start
+                    )
+                    if server.session_stats(sid)["quarantined"] > before:
+                        flag = ACK_QUARANTINED
                     else:
-                        flag = ACK_WINDOW
+                        local_index[sid] += 1
+                        if enqueued:
+                            flag = ACK_ENQUEUED
+                            pose_ids[(sid, local_index[sid])] = (
+                                message.frame_id
+                            )
+                            pending_ctx[(sid, local_index[sid])] = (
+                                message.trace_id,
+                                message.parent_span_id,
+                                time.perf_counter(),
+                            )
+                        else:
+                            flag = ACK_WINDOW
                 _push_blocking(
                     response_ring, response_doorbell, KIND_ACK, sid,
                     message.frame_id, flags=flag,

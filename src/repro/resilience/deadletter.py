@@ -4,7 +4,8 @@ Instead of failing a whole micro-batch (or silently discarding the
 offender), invalid frames and requests that exhausted their retries are
 recorded here: a bounded, thread-safe ring of structured records that
 operators can tail from ``InferenceServer.stats()`` or export as JSONL
-(the chaos CI job uploads that file as an artifact).
+(``mmhand serve --dead-letter-log``; the chaos CI job uploads that file
+as an artifact).
 """
 
 from __future__ import annotations
@@ -129,6 +130,3 @@ class DeadLetterLog:
             for record in records:
                 fh.write(json.dumps(record) + "\n")
         return str(path)
-
-    # Historical name, kept for callers predating the netfront PR.
-    to_jsonl = export_jsonl

@@ -5,14 +5,14 @@ single :class:`~repro.core.regressor.HandJointRegressor`:
 
 * :class:`Session` / :class:`FrameWindow` -- per-client sliding-window
   state (factored out of the single-session streaming estimator);
-* :class:`RequestQueue` -- bounded admission with explicit backpressure
-  (``block`` / ``drop-oldest`` / ``reject``) and per-session fairness;
+* :class:`RequestQueue` -- bounded admission that blocks producers
+  while full, with per-session fairness;
 * :class:`MicroBatcher` -- fuses ready windows across sessions into one
   batched forward pass, with a content-hash LRU :class:`SegmentCache`;
 * :class:`MetricsRegistry` -- counters, gauges, latency histograms and
   a structured event log, snapshotted by ``InferenceServer.stats()``;
-* :class:`InferenceServer` -- the composition, driven by the
-  ``mmhand serve`` CLI command.
+* :class:`InferenceServer` -- the composition, run inside every
+  gateway worker behind ``mmhand serve --listen``.
 
 Failures degrade instead of crashing (see DESIGN.md "Resilience"):
 malformed frames are quarantined into the server's
@@ -33,7 +33,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.serving.queue import POLICIES, RequestQueue
+from repro.serving.queue import RequestQueue
 from repro.serving.server import InferenceServer, ServingConfig
 from repro.serving.session import FrameWindow, SegmentRequest, Session
 
@@ -46,7 +46,6 @@ __all__ = [
     "InferenceServer",
     "MetricsRegistry",
     "MicroBatcher",
-    "POLICIES",
     "PoseResult",
     "RequestQueue",
     "SegmentCache",

@@ -1,19 +1,11 @@
-"""Bounded request queue with explicit backpressure and fairness.
+"""Bounded request queue with blocking backpressure and fairness.
 
 The queue sits between the sessions (producers) and the micro-batcher
 (consumer). It is bounded so a slow model cannot buffer unbounded radar
-history, and the policy applied when it fills is explicit:
-
-``block``
-    The producer waits (up to ``block_timeout_s``) for space; a timeout
-    raises :class:`QueueFullError`. The natural choice when producers
-    run on their own threads.
-``drop-oldest``
-    Admit the new request by evicting the oldest *of the same session*
-    when possible (stale pose windows are worthless in an interactive
-    UI), falling back to the globally oldest request.
-``reject``
-    Refuse the new request immediately with :class:`QueueFullError`.
+history. When it is full a producer waits (up to ``block_timeout_s``)
+for the consumer to make room; a timeout raises
+:class:`QueueFullError` and counts the request as rejected. No admitted
+request is ever evicted.
 
 Batches are popped round-robin across sessions so one chatty client
 cannot starve the others.
@@ -23,12 +15,10 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict, deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List
 
 from repro.errors import QueueFullError, ServingError
 from repro.serving.session import SegmentRequest
-
-POLICIES = ("block", "drop-oldest", "reject")
 
 
 class RequestQueue:
@@ -37,24 +27,17 @@ class RequestQueue:
     def __init__(
         self,
         capacity: int = 64,
-        policy: str = "block",
         block_timeout_s: float = 1.0,
         metrics=None,
     ) -> None:
         if capacity < 1:
             raise ServingError("queue capacity must be >= 1")
-        if policy not in POLICIES:
-            raise ServingError(
-                f"unknown backpressure policy {policy!r}; "
-                f"choose from {', '.join(POLICIES)}"
-            )
         if block_timeout_s <= 0:
             raise ServingError("block_timeout_s must be positive")
         self.capacity = capacity
-        self.policy = policy
         self.block_timeout_s = block_timeout_s
-        # Optional MetricsRegistry: drops/rejections become visible
-        # counters + events instead of silent losses.
+        # Optional MetricsRegistry: rejections become visible counters
+        # + events instead of silent losses.
         self.metrics = metrics
         # session id -> FIFO of its pending requests; dict order doubles
         # as the round-robin order (rotated on every pop_batch).
@@ -62,7 +45,6 @@ class RequestQueue:
             OrderedDict()
         )
         self._size = 0
-        self.dropped = 0
         self.rejected = 0
         self._lock = threading.Lock()
         self._not_full = threading.Condition(self._lock)
@@ -79,81 +61,35 @@ class RequestQueue:
             return {s: len(q) for s, q in self._pending.items() if q}
 
     # ------------------------------------------------------------------
-    def _note_loss(self, counter: str, request: SegmentRequest) -> None:
-        """Account one lost request (drop-oldest eviction or rejection)
-        on the attached registry so the loss is observable."""
-        if self.metrics is None:
-            return
-        self.metrics.counter(counter).increment()
-        self.metrics.events.emit(
-            counter.rsplit(".", 1)[-1] + "_request",
-            session_id=request.session_id,
-            frame_index=request.frame_index,
-            corr_id=request.corr_id,
-        )
+    def put(self, request: SegmentRequest) -> None:
+        """Admit ``request``, waiting for room while the queue is full.
 
-    def _admit(self, request: SegmentRequest) -> None:
-        queue = self._pending.get(request.session_id)
-        if queue is None:
-            queue = deque()
-            self._pending[request.session_id] = queue
-        queue.append(request)
-        self._size += 1
-
-    def _evict_oldest(
-        self, prefer_session: Optional[str] = None
-    ) -> SegmentRequest:
-        if prefer_session is not None:
-            queue = self._pending.get(prefer_session)
-            if queue:
-                self._size -= 1
-                return queue.popleft()
-        for queue in self._pending.values():
-            if queue:
-                self._size -= 1
-                return queue.popleft()
-        raise ServingError("internal error: eviction from an empty queue")
-
-    def put(self, request: SegmentRequest) -> Optional[SegmentRequest]:
-        """Admit ``request``, applying the backpressure policy.
-
-        Returns the evicted request under ``drop-oldest`` (``None``
-        otherwise); raises :class:`QueueFullError` under ``reject`` or
-        when a blocking wait times out.
+        Raises :class:`QueueFullError` when the wait times out.
         """
         with self._not_full:
-            if self._size < self.capacity:
-                self._admit(request)
-                return None
-            if self.policy == "reject":
-                self.rejected += 1
-                self._note_loss("serving.queue.rejected", request)
-                raise QueueFullError(
-                    f"queue at capacity ({self.capacity}); "
-                    f"rejecting request from {request.session_id!r}"
-                )
-            if self.policy == "drop-oldest":
-                evicted = self._evict_oldest(
-                    prefer_session=request.session_id
-                )
-                self.dropped += 1
-                self._note_loss("serving.queue.dropped", evicted)
-                self._admit(request)
-                return evicted
-            # policy == "block": wait for the consumer to make room.
-            deadline_ok = self._not_full.wait_for(
+            if self._size >= self.capacity and not self._not_full.wait_for(
                 lambda: self._size < self.capacity,
                 timeout=self.block_timeout_s,
-            )
-            if not deadline_ok:
+            ):
                 self.rejected += 1
-                self._note_loss("serving.queue.rejected", request)
+                if self.metrics is not None:
+                    self.metrics.counter("serving.queue.rejected").increment()
+                    self.metrics.events.emit(
+                        "rejected_request",
+                        session_id=request.session_id,
+                        frame_index=request.frame_index,
+                        corr_id=request.corr_id,
+                    )
                 raise QueueFullError(
                     f"queue stayed full for {self.block_timeout_s:.2f}s; "
                     f"giving up on request from {request.session_id!r}"
                 )
-            self._admit(request)
-            return None
+            queue = self._pending.get(request.session_id)
+            if queue is None:
+                queue = deque()
+                self._pending[request.session_id] = queue
+            queue.append(request)
+            self._size += 1
 
     def pop_batch(self, max_batch: int) -> List[SegmentRequest]:
         """Up to ``max_batch`` requests, round-robin across sessions.

@@ -10,7 +10,7 @@ Ties the serving pieces together::
 The server is synchronous and single-consumer by design: ``submit``
 admits work, ``step`` serves one micro-batch, ``drain`` serves until the
 queue is empty. Producers may call ``submit`` from other threads (the
-queue is thread-safe and the ``block`` policy waits for the consumer),
+queue is thread-safe and a full queue makes them wait for the consumer),
 but ``step``/``drain`` are meant to run on one serving loop.
 """
 
@@ -62,10 +62,16 @@ class ServingConfig:
     circuit breaker in front of the compiled inference plan; the
     ``budget_*``/``*_ratio`` fields shape each session's error budget
     and thus the healthy/degraded/unhealthy ladder.
+
+    The request queue always blocks when full (see
+    :class:`~repro.serving.queue.RequestQueue`), whatever ``policy``
+    says.
     """
 
     max_batch_size: int = 16
     queue_capacity: int = 64
+    # Accepted for existing callers: "block" or "drop-oldest", both of
+    # which block.
     policy: str = "block"
     block_timeout_s: float = 1.0
     cache_capacity: int = 256
@@ -91,6 +97,11 @@ class ServingConfig:
             raise ServingError("max_sessions must be >= 1")
         if self.hop_frames < 1:
             raise ServingError("hop_frames must be >= 1")
+        if self.policy not in ("block", "drop-oldest"):
+            raise ServingError(
+                f"unknown backpressure policy {self.policy!r}: the "
+                "request queue always blocks when full"
+            )
         if self.shard_threads != 0 or self.precision != "float32":
             raise ServingError(
                 "the compiled plan runs float32 on one thread: "
@@ -135,7 +146,6 @@ class InferenceServer:
         self.metrics.register_collector(self._publish_health)
         self.queue = RequestQueue(
             capacity=self.config.queue_capacity,
-            policy=self.config.policy,
             block_timeout_s=self.config.block_timeout_s,
             metrics=self.metrics,
         )
@@ -300,13 +310,13 @@ class InferenceServer:
         self.metrics.counter("frames_in").increment()
         if request is None:
             return False
-        if self.policy_is_block and self.queue.full:
-            # Single-threaded block backpressure: the producer *is* the
+        if self.queue.full:
+            # Single-threaded backpressure: the producer *is* the
             # consumer's thread, so make room by serving a batch now
             # instead of deadlocking on the condition variable.
             self.step()
         try:
-            evicted = self.queue.put(request)
+            self.queue.put(request)
         except QueueFullError:
             session.dropped += 1
             self.metrics.counter("rejected").increment()
@@ -315,21 +325,8 @@ class InferenceServer:
                 frame_index=request.frame_index,
             )
             raise
-        if evicted is not None:
-            victim = self._sessions.get(evicted.session_id)
-            if victim is not None:
-                victim.dropped += 1
-            self.metrics.counter("dropped").increment()
-            self.metrics.events.emit(
-                "drop_oldest", session_id=evicted.session_id,
-                frame_index=evicted.frame_index,
-            )
         self.metrics.gauge("queue_depth").set(len(self.queue))
         return True
-
-    @property
-    def policy_is_block(self) -> bool:
-        return self.config.policy == "block"
 
     def step(self) -> List[PoseResult]:
         """Serve one micro-batch from the queue (may be empty).
@@ -402,8 +399,6 @@ class InferenceServer:
         snapshot["queue"] = {
             "depth": len(self.queue),
             "capacity": self.queue.capacity,
-            "policy": self.queue.policy,
-            "dropped": self.queue.dropped,
             "rejected": self.queue.rejected,
             "by_session": self.queue.depth_by_session(),
         }

@@ -3,6 +3,14 @@ exercising the same code paths as the full-size system."""
 
 from __future__ import annotations
 
+import contextlib
+import os
+import re
+import signal
+import subprocess
+import sys
+import time
+
 import numpy as np
 import pytest
 
@@ -87,3 +95,62 @@ def numeric_gradient(fn, array: np.ndarray, eps: float = 1e-6) -> np.ndarray:
         array[index] = original
         grad[index] = (f_plus - f_minus) / (2.0 * eps)
     return grad
+
+
+@contextlib.contextmanager
+def serve_listen(*flags: str, timeout_s: float = 120.0):
+    """Run ``mmhand serve --listen 127.0.0.1:0 FLAGS`` in a subprocess.
+
+    Yields ``(proc, port, output)`` once the server reports its port;
+    ``output`` holds the stdout lines read so far. A server the test
+    did not stop (see :func:`stop_serve`) is killed on exit.
+    """
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "src")]
+            + ([os.environ["PYTHONPATH"]]
+               if os.environ.get("PYTHONPATH") else [])
+        ),
+        PYTHONUNBUFFERED="1",
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve",
+         "--listen", "127.0.0.1:0", *flags],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        text=True, env=env,
+    )
+    try:
+        port = None
+        output = []
+        deadline = time.monotonic() + timeout_s
+        while time.monotonic() < deadline:
+            line = proc.stdout.readline()
+            if not line:
+                break
+            output.append(line)
+            match = re.search(
+                r"netfront listening on 127\.0\.0\.1:(\d+)", line
+            )
+            if match:
+                port = int(match.group(1))
+                break
+        assert port, "server never reported its port:\n" + "".join(output)
+        yield proc, port, output
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=30.0)
+
+
+def stop_serve(
+    proc, output, sigterm: bool = True, timeout_s: float = 120.0
+) -> int:
+    """SIGTERM a :func:`serve_listen` server (``sigterm=False`` when the
+    test already sent it: a second one would kill the drain), wait for
+    it and collect the rest of its output; returns its exit code."""
+    if sigterm:
+        proc.send_signal(signal.SIGTERM)
+    returncode = proc.wait(timeout=timeout_s)
+    output.append(proc.stdout.read())
+    return returncode

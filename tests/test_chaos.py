@@ -5,12 +5,19 @@ The serving smoke test is the acceptance drill from DESIGN.md
 compiled plan forced broken, every *clean* request must still complete
 with the same pose it would get on a fault-free server, the service
 must report degraded health, and the breaker must have tripped the
-compiled path down to the eager forward. The trainer test kills a fit
-mid-epoch and proves the checkpoint/resume path is bit-identical.
+compiled path down to the eager forward. The serve drill runs the same
+faults through ``mmhand serve --listen`` and its gateway worker. The
+trainer test kills a fit mid-epoch and proves the checkpoint/resume
+path is bit-identical.
 """
+
+import json
+import signal
 
 import numpy as np
 import pytest
+
+from conftest import serve_listen, stop_serve
 
 from repro.config import (
     CampaignConfig,
@@ -24,7 +31,9 @@ from repro.core.training import Trainer
 from repro.data.collection import CampaignGenerator
 from repro.dsp.radar_cube import CubeBuilder
 from repro.errors import InjectedFaultError
+from repro.gateway.loadgen import make_frame_pool
 from repro.hand.subjects import make_subjects
+from repro.netfront import NetFrontClient
 from repro.resilience import FaultInjector, HealthState, latest_checkpoint
 from repro.serving import InferenceServer, ServingConfig
 
@@ -94,7 +103,8 @@ class TestChaosServing:
         frames = _client_frames(builder, self.CLIENTS, self.TICKS, seed=3)
 
         # One injector corrupts frames at the feed (driven by the test,
-        # exactly like `mmhand serve --chaos`); a second one, inside the
+        # like a gateway worker's ingest under `mmhand serve --chaos`);
+        # a second one, inside the
         # server, fails forwards and breaks the compiled plan. Separate
         # streams keep the corruption schedule replayable below.
         frame_faults = FaultInjector(frame_corrupt_rate=0.1, seed=21)
@@ -166,6 +176,52 @@ class TestChaosServing:
         assert baseline.health() is HealthState.HEALTHY
         assert len(baseline.dead_letters) == 0
         assert baseline.breaker.state == "closed"
+
+
+def test_serve_chaos_drill_over_the_socket(tmp_path):
+    """The CI chaos drill: `serve --listen` with 10% frame corruption,
+    5% forward faults and a broken compiled plan drains cleanly on
+    SIGTERM. No clean frame is lost, the corrupted ones are quarantined
+    and dead-lettered, and the breaker fell back to the eager path."""
+    letters = tmp_path / "dead_letters.jsonl"
+    report_path = tmp_path / "serve_chaos_stats.json"
+    with serve_listen(
+        "--workers", "1", "--chaos", "--chaos-frame-rate", "0.1",
+        "--chaos-forward-rate", "0.05", "--chaos-compile-fail",
+        "--chaos-seed", "7", "--dead-letter-log", str(letters),
+        "--json", str(report_path),
+    ) as (proc, port, output):
+        pool = make_frame_pool(DspConfig(), 16, seed=0)
+        with NetFrontClient.connect(
+            "127.0.0.1", port, timeout_s=30.0
+        ) as client:
+            sessions = [client.open_session() for _ in range(3)]
+            for fid, cube in enumerate(pool):
+                for sid in sessions:
+                    client.send_cube(sid, cube, frame_id=fid)
+            client.ping(timeout_s=60.0)
+            proc.send_signal(signal.SIGTERM)
+            client.drain_messages(duration_s=10.0)
+            assert client.goodbye["lost_clean_frames"] == 0
+        returncode = stop_serve(proc, output, sigterm=False)
+    assert returncode == 0, "".join(output)
+
+    report = json.loads(report_path.read_text())
+    assert report["frames_submitted"] == 3 * 16
+    assert report["lost_clean_frames"] == 0
+    counters = report["gateway"]["counters"]
+    quarantined = counters["gateway.frames_quarantined"]
+    assert quarantined > 0
+    assert report["frames_acked"] + report["dead_letters"] == 3 * 16
+    worker = report["gateway"]["workers"]["0"]["serving"]["counters"]
+    assert worker["compiled_fallbacks"] >= 1
+    records = [
+        json.loads(line) for line in letters.read_text().splitlines()
+    ]
+    ingest = [r for r in records if r["stage"] == "ingest"]
+    # Every quarantined ack has its dead letter, with the reason.
+    assert len(ingest) == quarantined
+    assert all(r["reason"] for r in ingest)
 
 
 class KillAt:

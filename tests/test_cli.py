@@ -138,34 +138,74 @@ def test_serve_help(capsys):
         cli.main(["serve", "--help"])
     assert excinfo.value.code == 0
     out = capsys.readouterr().out
-    assert "--sessions" in out
-    assert "--policy" in out
+    assert "--listen" in out
+    assert "--chaos-frame-rate" in out
+    for retired in ("--sessions", "--frames", "--policy", "--report-every"):
+        assert retired not in out
 
 
-def test_serve_bounded_run(tmp_path, capsys):
-    """A short multi-client run completes and writes a stats snapshot."""
-    json_path = tmp_path / "serve.json"
-    assert cli.main(
-        [
-            "serve", "--sessions", "2", "--frames", "4",
-            "--batch-size", "2", "--report-every", "2",
-            "--json", str(json_path),
-        ]
-    ) == 0
-    out = capsys.readouterr().out
-    assert "final report" in out
-    assert "event=final_report" in out
-    assert "poses_per_s=" in out
-    assert "event=plan_cache" in out
+def test_serve_requires_listen_and_a_worker(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["serve"])
+    assert excinfo.value.code != 0
+    assert "--listen" in capsys.readouterr().err
+    for workers in ("0", "-2"):
+        assert cli.main(
+            ["serve", "--listen", "127.0.0.1:0", "--workers", workers]
+        ) == 1
+        assert "--workers must be >= 1" in capsys.readouterr().err
+
+
+def test_serve_listen_writes_merged_trace_metrics_and_report(tmp_path):
+    """Two workers behind ``serve --listen``: the trace is ONE merged
+    file with worker-side forward spans from both worker processes,
+    and the metrics and drain report account for every frame."""
     import json
 
-    stats = json.loads(json_path.read_text())
-    # 2 clients x 4 frames, window of 2, hop 1 -> 3 poses per client.
-    assert stats["counters"]["frames_in"] == 8
-    assert stats["counters"]["poses"] == 6
-    assert stats["counters"]["sessions_closed"] == 2
-    assert stats["histograms"]["latency_s"]["count"] == 6
-    assert stats["plan_cache"]["misses"] >= 1
+    from conftest import serve_listen, stop_serve
+    from repro.gateway.loadgen import make_frame_pool
+    from repro.netfront import NetFrontClient
+
+    trace_path = tmp_path / "trace.json"
+    metrics_path = tmp_path / "metrics.json"
+    report_path = tmp_path / "report.json"
+    with serve_listen(
+        "--workers", "2", "--trace-out", str(trace_path),
+        "--metrics-json", str(metrics_path), "--json", str(report_path),
+    ) as (proc, port, output):
+        # The subprocess runs the full-size default configuration.
+        pool = make_frame_pool(DspConfig(), 6, seed=0)
+        with NetFrontClient.connect(
+            "127.0.0.1", port, timeout_s=30.0
+        ) as client:
+            # Sessions are balanced across workers: one on each.
+            sessions = [client.open_session() for _ in range(2)]
+            for sid in sessions:
+                for fid, cube in enumerate(pool):
+                    client.send_cube(sid, cube, frame_id=fid)
+            # 4-frame window: 6 frames -> 3 poses per session.
+            client.poll_poses(expect=6, timeout_s=120.0)
+        returncode = stop_serve(proc, output)
+    assert returncode == 0, "".join(output)
+
+    events = json.loads(trace_path.read_text())["traceEvents"]
+    forward_pids = {
+        event["pid"] for event in events
+        if event.get("name") == "worker.forward"
+    }
+    assert len(forward_pids) == 2
+    assert proc.pid not in forward_pids
+    assert any(
+        event.get("name") == "gateway.submit" and event["pid"] == proc.pid
+        for event in events
+    )
+    metrics = json.loads(metrics_path.read_text())
+    assert metrics["counters"]["gateway.acks"] == 12
+    assert metrics["counters"]["gateway.poses"] == 6
+    report = json.loads(report_path.read_text())
+    assert report["frames_submitted"] == 12
+    assert report["lost_clean_frames"] == 0
+    assert len(report["gateway"]["workers"]) == 2
 
 
 def test_bench_smoke(tmp_path, capsys):

@@ -1,11 +1,12 @@
-"""One differential check of every in-process execution path.
+"""One differential check of every execution path.
 
 The same seeded segments go through the eager autograd forward, the
-compiled plan, a plan artifact loaded in a fresh process and the
-``InferenceServer``; each must agree with the eager ``no_grad`` forward
-within the tolerance table of DESIGN.md section 6. The table is read
-from the document, so the two cannot drift apart. Gateway and netfront
-are held to the same table by perfbench's in-run eager oracle.
+compiled plan, a plan artifact loaded in a fresh process, the
+``InferenceServer``, a ``Gateway`` with one and with two worker
+processes, and the netfront TCP server in front of a gateway over
+loopback; each must agree with the eager ``no_grad`` forward within
+the tolerance table of DESIGN.md section 6. The table is read from the
+document, so the two cannot drift apart.
 """
 
 import os
@@ -18,13 +19,18 @@ import pytest
 
 from repro.core.regressor import HandJointRegressor
 from repro.dsp.radar_cube import CubeBuilder
+from repro.gateway import Gateway, GatewayConfig
+from repro.netfront import NetFrontClient, NetFrontConfig, start_in_thread
 from repro.nn.inference import compile_model
-from repro.nn.serialization import save_plan
+from repro.nn.serialization import save_plan, save_state
 from repro.nn.tensor import Tensor, no_grad
 from repro.serving import InferenceServer, ServingConfig
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
-PATHS = ("eager_autograd", "compiled", "artifact", "server")
+PATHS = (
+    "eager_autograd", "compiled", "artifact", "server",
+    "gateway_1", "gateway_2", "netfront",
+)
 
 
 def _tolerance_table():
@@ -107,6 +113,54 @@ def _serve(regressor, builder, cubes, windows):
     return np.stack([r.joints for r in results])
 
 
+def _gateway(regressor, builder, directory, workers):
+    """A gateway whose workers load ``regressor``'s weights."""
+    weights = str(directory / "weights.npz")
+    save_state(regressor, weights)
+    return Gateway(
+        builder.radar, builder.dsp, regressor.model_config,
+        GatewayConfig(
+            workers=workers, ring_slots=32, weights_path=weights,
+            serving=ServingConfig(max_batch_size=4, enable_cache=False),
+        ),
+    )
+
+
+def _through_gateway(gateway, cubes, windows):
+    """One session per worker, every cube to each; poses per session."""
+    with gateway:
+        sessions = [
+            gateway.open_session() for _ in range(gateway.config.workers)
+        ]
+        for cube in cubes:
+            for sid in sessions:
+                gateway.submit_cube(sid, cube)
+        results = gateway.drain(timeout_s=60.0)
+    assert len(results) == windows * len(sessions)
+    results.sort(key=lambda r: (r.session_id, r.frame_index))
+    return np.stack([r.joints for r in results]).reshape(
+        len(sessions), windows, *results[0].joints.shape
+    )
+
+
+def _through_netfront(gateway, cubes, windows):
+    """The cubes over loopback TCP to a netfront server."""
+    try:
+        handle = start_in_thread(gateway, NetFrontConfig(port=0))
+        with NetFrontClient.connect(
+            handle.host, handle.port, timeout_s=30.0
+        ) as client:
+            sid = client.open_session()
+            for fid, cube in enumerate(cubes):
+                client.send_cube(sid, cube, frame_id=fid)
+            poses = client.poll_poses(expect=windows, timeout_s=60.0)
+        handle.stop()
+    finally:
+        gateway.shutdown()
+    poses.sort(key=lambda pose: pose.frame_id)
+    return np.stack([pose.joints for pose in poses])
+
+
 def test_every_path_agrees_with_eager_within_the_table(setup):
     regressor, builder, cubes, segments, directory = setup
     table = _tolerance_table()
@@ -128,6 +182,19 @@ def test_every_path_agrees_with_eager_within_the_table(setup):
             _serve(regressor, builder, cubes, len(segments))
         ),
     }
+    for workers in (1, 2):
+        outputs[f"gateway_{workers}"] = regressor.normalize_labels(
+            _through_gateway(
+                _gateway(regressor, builder, directory, workers),
+                cubes, len(segments),
+            )
+        )
+    outputs["netfront"] = regressor.normalize_labels(
+        _through_netfront(
+            _gateway(regressor, builder, directory, 1),
+            cubes, len(segments),
+        )
+    )
     for path in PATHS:
         diff = float(np.abs(outputs[path] - reference).max())
         assert diff <= table[path], f"{path}: {diff:.3g} > {table[path]}"

@@ -4,6 +4,7 @@ parity with the in-process server, sticky session affinity, frame
 accounting under load, SIGKILL crash recovery, doorbell wakeups, the
 bounded session registry and the monotonic stage clock."""
 
+import json
 import os
 import pickle
 import select
@@ -482,6 +483,29 @@ def test_gateway_drain_with_frames_in_flight_accounts_all(configs):
         assert per_session > dsp.segment_frames - 1
     finally:
         gateway.shutdown()
+
+
+def test_gateway_worker_corrupts_frames_under_chaos(configs, tmp_path):
+    """``chaos_frame_rate`` acts inside the worker: corrupted and
+    dropped frames come back as quarantined acks, each leaves a dead
+    letter in the worker, and every submitted frame is still acked."""
+    radar, dsp, model = configs
+    config = _gateway_config(workers=1, chaos_frame_rate=0.2, chaos_seed=5)
+    with Gateway(radar, dsp, model, config) as gateway:
+        sessions = [gateway.open_session() for _ in range(2)]
+        sent, _ = _feed_all(gateway, sessions, _cube_frames(dsp, 20, seed=17))
+        gateway.drain(timeout_s=30.0)
+        counters = gateway.stats()["counters"]
+    quarantined = int(counters.get("gateway.frames_quarantined", 0))
+    assert quarantined > 0
+    assert int(counters["gateway.acks"]) == sent
+    assert gateway.dead_letters.total == 0
+    path = tmp_path / "dead_letters.jsonl"
+    assert gateway.export_dead_letters(str(path)) == quarantined
+    stages = {
+        json.loads(line)["stage"] for line in path.read_text().splitlines()
+    }
+    assert stages == {"ingest"}
 
 
 def test_gateway_shutdown_with_frames_in_flight_is_clean(configs):

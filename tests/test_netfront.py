@@ -11,8 +11,6 @@ import re
 import signal
 import socket
 import struct
-import subprocess
-import sys
 import threading
 import time
 from collections import deque
@@ -20,6 +18,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from conftest import serve_listen, stop_serve
 from repro.config import DspConfig, ModelConfig, RadarConfig
 from repro.errors import (
     AdmissionRejectedError,
@@ -783,38 +782,7 @@ def test_idle_pool_parks_and_stops_promptly(configs):
 def test_serve_cli_sigterm_drains_and_exits_zero():
     """`mmhand serve --listen` + SIGTERM: graceful drain, goodbye frame
     to connected clients, full accounting, exit code 0."""
-    env = dict(
-        os.environ,
-        PYTHONPATH=os.pathsep.join(
-            [os.path.join(os.path.dirname(__file__), "..", "src")]
-            + ([os.environ["PYTHONPATH"]]
-               if os.environ.get("PYTHONPATH") else [])
-        ),
-        PYTHONUNBUFFERED="1",
-    )
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "serve",
-         "--listen", "127.0.0.1:0"],
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-        text=True, env=env,
-    )
-    try:
-        port = None
-        deadline = time.monotonic() + 120.0
-        lines = []
-        while time.monotonic() < deadline:
-            line = proc.stdout.readline()
-            if not line:
-                break
-            lines.append(line)
-            match = re.search(
-                r"netfront listening on 127\.0\.0\.1:(\d+)", line
-            )
-            if match:
-                port = int(match.group(1))
-                break
-        assert port, "server never reported its port:\n" + "".join(lines)
-
+    with serve_listen() as (proc, port, output):
         pool = make_frame_pool(DspConfig(), 8, seed=0)
         with NetFrontClient.connect(
             "127.0.0.1", port, timeout_s=30.0
@@ -831,12 +799,7 @@ def test_serve_cli_sigterm_drains_and_exits_zero():
             assert client.goodbye["reason"] == "SIGTERM"
             assert client.goodbye["lost_clean_frames"] == 0
 
-        returncode = proc.wait(timeout=120.0)
-        tail = proc.stdout.read()
+        returncode = stop_serve(proc, output, sigterm=False)
         assert returncode == 0, (
-            f"serve exited {returncode}:\n" + "".join(lines) + tail
+            f"serve exited {returncode}:\n" + "".join(output)
         )
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait(timeout=30.0)

@@ -441,7 +441,7 @@ class TestDeadLetterLog:
             reason="retries exhausted", corr_id="s-1#7",
         )
         path = tmp_path / "dead_letters.jsonl"
-        log.to_jsonl(path)
+        log.export_jsonl(path)
         lines = path.read_text().splitlines()
         assert len(lines) == 1
         record = json.loads(lines[0])

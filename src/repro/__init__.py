@@ -19,76 +19,62 @@ Quickstart
 See ``examples/quickstart.py`` for the complete walk-through.
 """
 
-from repro.config import (
-    CampaignConfig,
-    DspConfig,
-    ModelConfig,
-    RadarConfig,
-    SystemConfig,
-    TrainConfig,
-)
-from repro.errors import ReproError
-from repro.hand import (
-    HandPose,
-    HandShape,
-    Subject,
-    forward_kinematics,
-    gesture_pose,
-    list_gestures,
-    make_subjects,
-)
-from repro.mano import ManoHandModel, pose_to_theta
-from repro.radar import RadarSimulator, Scene
-from repro.dsp import CubeBuilder, RadarCube
-from repro.core import (
-    HandJointRegressor,
-    MeshReconstructor,
-    MmHand,
-    Trainer,
-    kfold_by_user,
-)
-from repro.data import CampaignGenerator, CaptureOptions, HandPoseDataset
-from repro.eval import metrics
-from repro.core.streaming import StreamingEstimator
-from repro.serving import InferenceServer, ServingConfig
-from repro.apps import GestureClassifier, GestureCommandMapper
+import importlib
+from typing import Any, List
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CampaignConfig",
-    "DspConfig",
-    "ModelConfig",
-    "RadarConfig",
-    "SystemConfig",
-    "TrainConfig",
-    "ReproError",
-    "HandPose",
-    "HandShape",
-    "Subject",
-    "forward_kinematics",
-    "gesture_pose",
-    "list_gestures",
-    "make_subjects",
-    "ManoHandModel",
-    "pose_to_theta",
-    "RadarSimulator",
-    "Scene",
-    "CubeBuilder",
-    "RadarCube",
-    "HandJointRegressor",
-    "MeshReconstructor",
-    "MmHand",
-    "Trainer",
-    "kfold_by_user",
-    "CampaignGenerator",
-    "CaptureOptions",
-    "HandPoseDataset",
-    "metrics",
-    "StreamingEstimator",
-    "InferenceServer",
-    "ServingConfig",
-    "GestureClassifier",
-    "GestureCommandMapper",
-    "__version__",
-]
+# Public name -> the module that defines it. Names resolve on first
+# access (PEP 562), so ``import repro.nn`` loads the nn stack without
+# the radar simulator, the DSP chain and everything else listed here.
+_EXPORTS = {
+    "CampaignConfig": "repro.config",
+    "DspConfig": "repro.config",
+    "ModelConfig": "repro.config",
+    "RadarConfig": "repro.config",
+    "SystemConfig": "repro.config",
+    "TrainConfig": "repro.config",
+    "ReproError": "repro.errors",
+    "HandPose": "repro.hand",
+    "HandShape": "repro.hand",
+    "Subject": "repro.hand",
+    "forward_kinematics": "repro.hand",
+    "gesture_pose": "repro.hand",
+    "list_gestures": "repro.hand",
+    "make_subjects": "repro.hand",
+    "ManoHandModel": "repro.mano",
+    "pose_to_theta": "repro.mano",
+    "RadarSimulator": "repro.radar",
+    "Scene": "repro.radar",
+    "CubeBuilder": "repro.dsp",
+    "RadarCube": "repro.dsp",
+    "HandJointRegressor": "repro.core",
+    "MeshReconstructor": "repro.core",
+    "MmHand": "repro.core",
+    "Trainer": "repro.core",
+    "kfold_by_user": "repro.core",
+    "CampaignGenerator": "repro.data",
+    "CaptureOptions": "repro.data",
+    "HandPoseDataset": "repro.data",
+    "metrics": "repro.eval",
+    "StreamingEstimator": "repro.core.streaming",
+    "InferenceServer": "repro.serving",
+    "ServingConfig": "repro.serving",
+    "GestureClassifier": "repro.apps",
+    "GestureCommandMapper": "repro.apps",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -598,6 +598,7 @@ def _cmd_serve(args) -> int:
     """
     import asyncio
     import json
+    import signal
 
     from repro.config import DspConfig, ModelConfig, RadarConfig
     from repro.gateway import Gateway, GatewayConfig
@@ -669,8 +670,29 @@ def _cmd_serve(args) -> int:
         idle_timeout_s=args.idle_timeout,
     )
     gateway = Gateway(RadarConfig(), DspConfig(), ModelConfig(), config)
+    ignored_signals: list = []
+    stop_signals = (signal.SIGTERM, signal.SIGINT)
+
+    async def serve() -> dict:
+        report = await serve_until_signal(gateway, net_config)
+        # The drain is over, but the workers still have to be joined
+        # and their rings unlinked: from here on SIGTERM/SIGINT are
+        # noted and otherwise ignored. Taking them over inside the loop
+        # leaves no moment with the default action, which would kill
+        # the process and leak the rings.
+        loop = asyncio.get_running_loop()
+        for signum in stop_signals:
+            loop.remove_signal_handler(signum)
+            signal.signal(
+                signum,
+                lambda s, _frame: ignored_signals.append(
+                    signal.Signals(s).name
+                ),
+            )
+        return report
+
     try:
-        report = asyncio.run(serve_until_signal(gateway, net_config))
+        report = asyncio.run(serve())
         if args.json_path or args.metrics_json:
             # Pulls every live worker's counters into the registry.
             report["gateway"] = gateway.stats()
@@ -703,6 +725,16 @@ def _cmd_serve(args) -> int:
             if profiler is not None else None
         )
         _write_profile(profile_out, gateway.merged_profile(extra=extra))
+    # Interpreter exit resets a Python-level handler to the default
+    # action, so ignore outright: a late signal must not turn this
+    # exit code into -15.
+    for signum in stop_signals:
+        signal.signal(signum, signal.SIG_IGN)
+    if ignored_signals:
+        get_logger("serve").warning(
+            "signals_ignored_during_shutdown",
+            signals=",".join(ignored_signals),
+        )
     return 0 if report.get("lost_clean_frames", 1) == 0 else 1
 
 

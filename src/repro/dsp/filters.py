@@ -12,16 +12,19 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-from scipy import signal
 
 from repro.config import SPEED_OF_LIGHT, DspConfig, RadarConfig
-from repro.dsp.plans import butterworth_bandpass_sos, filtfilt_operator
+from repro.dsp.plans import (
+    butterworth_bandpass_sos,
+    filtfilt_operator,
+    sosfiltfilt,
+)
 from repro.errors import SignalProcessingError
 
 _OPERATOR_MAX_SAMPLES = 256
 """Fast-time lengths up to this run the bandpass as one cached dense
-operator (cost per sample grows with length); longer signals use
-scipy's sample-by-sample ``sosfiltfilt``."""
+operator (cost per sample grows with length); longer signals run
+the sample-by-sample :func:`repro.dsp.plans.sosfiltfilt`."""
 
 
 def band_to_if_hz(
@@ -53,9 +56,10 @@ def hand_bandpass(
 
     ``method`` selects the implementation: ``"auto"`` (default) applies
     the cached dense filtfilt operator for short fast-time axes and
-    falls back to scipy for long ones, ``"operator"`` / ``"sosfiltfilt"``
-    force one path. All paths implement the same filter; the operator
-    matches ``sosfiltfilt`` to ~1e-14 relative.
+    falls back to the sample-by-sample cascade for long ones,
+    ``"operator"`` / ``"sosfiltfilt"`` force one path. All paths
+    implement the same filter; the operator matches ``sosfiltfilt`` to
+    ~1e-14 relative.
     """
     data = np.asarray(data)
     if data.shape[-1] != radar.samples_per_chirp:
@@ -75,8 +79,8 @@ def hand_bandpass(
         raise SignalProcessingError(
             "hand band maps to an empty normalised frequency interval"
         )
-    # scipy's N is the per-section order; a bandpass doubles it, so N=4
-    # yields the paper's 8th-order filter. The SOS only depends on config
+    # N is the prototype order; a bandpass doubles it, so N=4 yields
+    # the paper's 8th-order filter. The SOS only depends on config
     # values, so it comes from the shared plan cache.
     order = max(dsp.butterworth_order // 2, 1)
     n = data.shape[-1]
@@ -96,9 +100,7 @@ def hand_bandpass(
             target = np.complex64 if np.iscomplexobj(data) else np.float32
             data = data.astype(target, copy=False)
         return data @ operator
-    # Copy the frozen SOS plan: scipy's kernel needs writable buffers.
-    sos = butterworth_bandpass_sos(order, lo, hi).copy()
-    out = signal.sosfiltfilt(sos, data, axis=-1, padlen=padlen)
+    out = sosfiltfilt(butterworth_bandpass_sos(order, lo, hi), data, padlen)
     if fast:
         # sosfiltfilt always computes in double; downcast once here so
         # every later stage runs in single precision.

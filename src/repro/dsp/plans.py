@@ -28,7 +28,6 @@ from contextlib import contextmanager
 from typing import Any, Callable, Dict, Hashable, Iterator, Tuple
 
 import numpy as np
-from scipy import signal
 
 from repro.errors import SignalProcessingError
 from repro.obs import metrics as obs_metrics
@@ -171,23 +170,168 @@ def publish_plan_cache_metrics(registry) -> None:
 obs_metrics.get_registry().register_collector(publish_plan_cache_metrics)
 
 
+def _cplxreal(z: np.ndarray) -> np.ndarray:
+    """One root of each conjugate pair (positive imaginary part, real
+    parts ascending), then the real roots ascending.
+
+    A root whose imaginary part is within ``100 eps`` of its magnitude
+    counts as real; each pair's representative is the mean of the pair.
+    """
+    tol = 100 * np.finfo(np.float64).eps
+    z = z[np.lexsort((np.abs(z.imag), z.real))]
+    real = np.abs(z.imag) <= tol * np.abs(z)
+    zp = z[~real & (z.imag > 0)]
+    zn = z[~real & (z.imag < 0)]
+    return np.concatenate(((zp + zn.conj()) / 2, z[real].real))
+
+
+def _butterworth_bandpass_design(
+    order: int, low: float, high: float
+) -> np.ndarray:
+    """Second-order sections of a digital Butterworth bandpass.
+
+    The analog prototype's ``order`` poles go through the lowpass-to-
+    bandpass transform and the bilinear transform (corners pre-warped,
+    sample rate 2), giving ``order`` zeros at +1, ``order`` at -1 and
+    ``2 order`` poles. Sections are built from the pole closest to the
+    unit circle (placed last) outwards, each with the two zeros nearest
+    to its pole; the gain scales section 0. That pairing and order keep
+    the cascade's rounding, and so the filtfilt operator, the same as
+    the textbook ``zpk2sos(pairing="nearest")`` design.
+    """
+    if not 0.0 < low < high < 1.0:
+        raise SignalProcessingError(
+            "bandpass corners must satisfy 0 < low < high < 1"
+        )
+    # Analog lowpass prototype: poles on the left unit half-circle.
+    m = np.arange(-order + 1, order, 2, dtype=np.float64)
+    proto = -np.exp(1j * np.pi * m / (2 * order))
+    # Pre-warped corners (sample rate 2, so Nyquist is 1).
+    warped = 4.0 * np.tan(np.pi * np.array([low, high]) / 2.0)
+    bw = warped[1] - warped[0]
+    wo = np.sqrt(warped[0] * warped[1])
+    # Lowpass to bandpass: each prototype pole splits in two around wo;
+    # the order zeros land at s = 0 and the gain scales by bw**order.
+    p_lp = proto * bw / 2
+    shift = np.sqrt(p_lp**2 - wo**2)
+    poles_s = np.concatenate((p_lp + shift, p_lp - shift))
+    zeros_s = np.zeros(order, dtype=np.complex128)
+    # Bilinear transform: s = 0 maps to z = +1, the zeros at infinity
+    # to z = -1.
+    fs2 = 4.0
+    poles = _cplxreal((fs2 + poles_s) / (fs2 - poles_s))
+    zeros = np.concatenate((np.full(order, -1.0), np.ones(order)))
+    gain = bw**order * np.real(
+        np.prod(fs2 - zeros_s) / np.prod(fs2 - poles_s)
+    )
+
+    sos = np.zeros((order, 6))
+    for section in range(order - 1, -1, -1):
+        worst = np.argmin(np.abs(1 - np.abs(poles)))
+        p1 = poles[worst]
+        poles = np.delete(poles, worst)
+        if np.isreal(p1):
+            reals = np.flatnonzero(np.isreal(poles))
+            other = reals[np.argmin(np.abs(1 - np.abs(poles[reals])))]
+            p2 = poles[other]
+            poles = np.delete(poles, other)
+        else:
+            p2 = p1.conj()
+        pair = []
+        for _ in range(2):
+            nearest = np.argsort(np.abs(zeros - p1))[0]
+            pair.append(zeros[nearest])
+            zeros = np.delete(zeros, nearest)
+        sos[section, :3] = np.poly(pair)
+        sos[section, 3:] = np.real(np.poly([p1, p2]))
+    sos[0, :3] *= gain
+    return sos
+
+
 def butterworth_bandpass_sos(
     order: int, low: float, high: float
 ) -> np.ndarray:
     """Cached second-order sections of a Butterworth bandpass.
 
-    ``order`` is scipy's per-section N (a bandpass doubles it); ``low``
-    and ``high`` are normalised (Nyquist = 1) corner frequencies. The
-    returned array is read-only.
+    ``order`` is the prototype order N (a bandpass doubles it, giving N
+    sections); ``low`` and ``high`` are normalised (Nyquist = 1) corner
+    frequencies. The returned ``(N, 6)`` array, rows
+    ``[b0, b1, b2, 1, a1, a2]``, is read-only.
     """
     return PLAN_CACHE.get(
         "bandpass_sos",
         (int(order), float(low), float(high)),
-        lambda: freeze(
-            signal.butter(order, [low, high], btype="bandpass",
-                          output="sos")
-        ),
+        lambda: freeze(_butterworth_bandpass_design(order, low, high)),
     )
+
+
+def _sosfilt(sections: list, x: np.ndarray, zi: np.ndarray) -> np.ndarray:
+    """One pass of a biquad cascade down the first (time) axis of ``x``.
+
+    Transposed direct form II, each section's state starting at
+    ``zi[section] * x[0]``; the trailing axes are independent signals.
+    """
+    z0 = [c * x[0] for c in zi[:, 0]]
+    z1 = [c * x[0] for c in zi[:, 1]]
+    y = np.empty_like(x)
+    for t in range(len(x)):
+        cur = x[t]
+        for s, (b0, b1, b2, _, a1, a2) in enumerate(sections):
+            new = b0 * cur + z0[s]
+            z0[s] = b1 * cur - a1 * new + z1[s]
+            z1[s] = b2 * cur - a2 * new
+            cur = new
+        y[t] = cur
+    return y
+
+
+def sosfiltfilt(sos: np.ndarray, x: np.ndarray, padlen: int) -> np.ndarray:
+    """Zero-phase forward-backward filtering along the last axis.
+
+    ``sos`` holds second-order sections with ``a0 == 1``. ``x`` is
+    extended by ``padlen`` samples of odd reflection at each end; each
+    pass starts every section in its steady state for the first sample
+    (the step response's initial conditions, scaled by the DC gain of
+    the sections before it), so a constant input passes without a
+    transient. Leading axes are filtered independently; the result is
+    float64 or complex128.
+    """
+    sos = np.asarray(sos, dtype=np.float64)
+    x = np.asarray(x)
+    n = x.shape[-1]
+    if not 0 <= padlen < n:
+        raise SignalProcessingError(
+            f"padlen must satisfy 0 <= padlen < {n}, got {padlen}"
+        )
+    if padlen:
+        x = np.concatenate(
+            (
+                2 * x[..., :1] - x[..., padlen:0:-1],
+                x,
+                2 * x[..., -1:] - x[..., -2:-(padlen + 2):-1],
+            ),
+            axis=-1,
+        )
+    # Steady state of each section: (I - companion(a)^T) zi = b[1:] -
+    # a[1:] b[0], scaled by the DC gain of the sections before it.
+    zi = np.empty((len(sos), 2))
+    scale = 1.0
+    for section, (b, a) in enumerate(zip(sos[:, :3], sos[:, 3:])):
+        i_minus_a = np.array([[1.0 + a[1], -1.0], [a[2], 1.0]])
+        zi[section] = scale * np.linalg.solve(
+            i_minus_a, b[1:] - a[1:] * b[0]
+        )
+        scale *= b.sum() / a.sum()
+    # Time-major copy so every sample step reads one contiguous row.
+    dtype = np.result_type(x.dtype, np.float64)
+    lead = x.shape[:-1]
+    signals = np.ascontiguousarray(x.reshape(-1, x.shape[-1]).T, dtype)
+    sections = sos.tolist()
+    y = _sosfilt(sections, signals, zi)
+    y = _sosfilt(sections, y[::-1], zi)[::-1]
+    if padlen:
+        y = y[padlen:-padlen]
+    return np.ascontiguousarray(y.T).reshape(lead + (n,))
 
 
 def filtfilt_operator(
@@ -200,33 +344,27 @@ def filtfilt_operator(
 ) -> np.ndarray:
     """Cached dense operator equivalent of the zero-phase bandpass.
 
-    For a fixed signal length ``n``, ``sosfiltfilt`` -- odd-extension
+    For a fixed signal length ``n``, :func:`sosfiltfilt` -- odd-extension
     padding, forward/backward biquad cascades and their initial
     conditions included -- is a linear map from the ``n`` input samples
     to the ``n`` output samples. Filtering the identity matrix through
-    the exact scipy path materialises that map as an ``(n, n)`` matrix
-    ``R`` with ``filtfilt(x) == x @ R`` along the last axis (verified to
-    ~1e-14 relative), which turns the per-sample scalar biquad loop into
-    one BLAS matmul -- an order-of-magnitude faster at radar fast-time
-    lengths. Only worthwhile for small ``n`` (cost grows as ``n``
-    per sample); :func:`repro.dsp.filters.hand_bandpass` falls back to
-    ``sosfiltfilt`` above a length threshold.
+    it materialises that map as an ``(n, n)`` matrix ``R`` with
+    ``filtfilt(x) == x @ R`` along the last axis (verified to ~1e-14
+    relative), which turns the per-sample biquad loop into one BLAS
+    matmul -- an order of magnitude faster at radar fast-time lengths.
+    Only worthwhile for small ``n`` (cost grows as ``n`` per sample);
+    :func:`repro.dsp.filters.hand_bandpass` falls back to
+    :func:`sosfiltfilt` above a length threshold.
 
     ``dtype`` selects the stored operator precision: pass complex64 so
     single-precision inputs are not upcast by the matmul.
     """
 
     def build() -> np.ndarray:
-        # scipy's Cython kernel requires writable coefficient buffers,
-        # so hand it a (tiny) copy of the frozen SOS plan.
-        sos = butterworth_bandpass_sos(order, low, high).copy()
-        response = signal.sosfiltfilt(
-            sos, np.eye(n), axis=-1, padlen=padlen
-        )
+        sos = butterworth_bandpass_sos(order, low, high)
         # Rows hold filtfilt(e_j), so x @ response applies the filter.
-        return freeze(
-            np.ascontiguousarray(response).astype(dtype, copy=False)
-        )
+        response = sosfiltfilt(sos, np.eye(n), padlen)
+        return freeze(response.astype(dtype, copy=False))
 
     dtype = np.dtype(dtype)
     return PLAN_CACHE.get(

@@ -134,7 +134,7 @@ class CubeBuilder:
     def build_reference(self, raw_frames: np.ndarray) -> RadarCube:
         """Frame-by-frame reference implementation of :meth:`build`.
 
-        This is the pre-batching code path: scipy's sample-by-sample
+        This is the pre-batching code path: the sample-by-sample
         ``sosfiltfilt`` and one angle-spectra call per frame. Kept for
         equivalence tests (`build` must match it to <= 1e-9) and as the
         benchmark baseline.

@@ -2,9 +2,9 @@
 
 Measures the DSP hot path end to end and stage by stage:
 
-* **cube build** -- the per-frame reference chain (scipy bandpass, one
-  angle-spectra call per frame, plan cache disabled) against the batched
-  chain in both precisions. This is the headline number: the batched
+* **cube build** -- the per-frame reference chain (sample-by-sample
+  bandpass, one angle-spectra call per frame, plan cache disabled)
+  against the batched chain in both precisions. This is the headline number: the batched
   path must deliver >= 3x frames/s over the baseline measured *in the
   same run*.
 * **radar synthesis** -- frame-by-frame :meth:`RadarSimulator.frame`

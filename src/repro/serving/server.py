@@ -181,6 +181,10 @@ class InferenceServer:
         # worker reads this to answer every in-flight frame explicitly
         # (an UNSERVED message) instead of leaving its client waiting.
         self.last_unserved: List[tuple] = []
+        # What an inline step() in _enqueue served (poses, quarantined
+        # requests), handed out by the next step().
+        self._held: List[PoseResult] = []
+        self._held_unserved: List[tuple] = []
 
     # -- session lifecycle ---------------------------------------------
     def open_session(self, session_id: Optional[str] = None) -> str:
@@ -313,8 +317,11 @@ class InferenceServer:
         if self.queue.full:
             # Single-threaded backpressure: the producer *is* the
             # consumer's thread, so make room by serving a batch now
-            # instead of deadlocking on the condition variable.
-            self.step()
+            # instead of deadlocking on the condition variable. Its
+            # poses are held for the caller's next step()/drain()
+            # (step() returns what was held before, too).
+            self._held = self.step()
+            self._held_unserved = self.last_unserved
         try:
             self.queue.put(request)
         except QueueFullError:
@@ -334,12 +341,15 @@ class InferenceServer:
         Requests the batcher had to quarantine (invalid window, forward
         that exhausted its retries) are missing from the results; their
         sessions' error budgets are charged here so per-session health
-        reflects them.
+        reflects them. Poses served by an inline step while a full
+        queue made room come first.
         """
+        held, self._held = self._held, []
+        held_unserved, self._held_unserved = self._held_unserved, []
         batch = self.queue.pop_batch(self.config.max_batch_size)
         if not batch:
-            self.last_unserved = []
-            return []
+            self.last_unserved = held_unserved
+            return held
         # Stage-latency ledger: batch-wait is how long each request sat
         # in the queue before its forward started; forward is the fused
         # batcher pass. Keeping both as separate histograms makes
@@ -367,13 +377,13 @@ class InferenceServer:
             if session is not None:
                 session.quarantined += 1
                 session.budget.record_failure()
-        self.last_unserved = unserved
+        self.last_unserved = held_unserved + unserved
         self.metrics.gauge("queue_depth").set(len(self.queue))
-        return results
+        return held + results
 
     def drain(self) -> List[PoseResult]:
         """Serve micro-batches until the queue is empty."""
-        results: List[PoseResult] = []
+        results = self.step()
         while len(self.queue) > 0:
             results.extend(self.step())
         return results

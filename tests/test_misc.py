@@ -1,4 +1,10 @@
-"""Small cross-cutting tests: error hierarchy, initialisers, public API."""
+"""Small cross-cutting tests: error hierarchy, initialisers, public API,
+what the runtime imports."""
+
+import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -40,6 +46,47 @@ def test_catching_base_error_covers_subsystems():
 def test_public_api_exports_resolve():
     for name in repro.__all__:
         assert getattr(repro, name) is not None, name
+
+
+def _modules_after(code: str) -> list:
+    """Run ``code`` in a fresh interpreter; return its module names."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         code + "\nimport json, sys; print(json.dumps(sorted(sys.modules)))"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_importing_a_subpackage_loads_only_what_it_needs():
+    modules = _modules_after("import repro.nn")
+    assert "repro.nn" in modules
+    assert "repro.dsp" not in modules
+    assert "repro.radar" not in modules
+    # ...and the lazy package still hands out every public name.
+    modules = _modules_after(
+        "import repro\nfor name in repro.__all__: getattr(repro, name)"
+    )
+    assert "repro.serving" in modules
+
+
+def test_runtime_path_does_not_import_scipy():
+    modules = _modules_after(
+        "import numpy as np\n"
+        "import repro.cli, repro.gateway.worker, repro.netfront\n"
+        "import repro.serving\n"
+        "from repro.dsp import CubeBuilder\n"
+        "builder = CubeBuilder()\n"
+        "raw = np.ones((1, builder.array.num_virtual,"
+        " builder.radar.chirp_loops, builder.radar.samples_per_chirp),"
+        " complex)\n"
+        "builder.build(raw)"
+    )
+    assert "repro.dsp.filters" in modules
+    assert [m for m in modules if m.split(".")[0] == "scipy"] == []
 
 
 def test_version_string():

@@ -803,3 +803,28 @@ def test_serve_cli_sigterm_drains_and_exits_zero():
         assert returncode == 0, (
             f"serve exited {returncode}:\n" + "".join(output)
         )
+
+
+def _shm_segments() -> set:
+    return {
+        name for name in os.listdir("/dev/shm") if name.startswith("psm_")
+    }
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/dev/shm"), reason="needs POSIX shared memory"
+)
+def test_serve_cli_second_sigterm_during_shutdown_is_ignored():
+    """A second SIGTERM ~50 ms after the first lands while the workers
+    are being joined: it is logged and ignored, so the process still
+    exits 0 and unlinks every ring it created."""
+    before = _shm_segments()
+    with serve_listen() as (proc, port, output):
+        proc.send_signal(signal.SIGTERM)
+        time.sleep(0.05)
+        proc.send_signal(signal.SIGTERM)
+        returncode = stop_serve(proc, output, sigterm=False)
+    assert returncode == 0, (
+        f"serve exited {returncode}:\n" + "".join(output)
+    )
+    assert not _shm_segments() - before
